@@ -12,6 +12,7 @@ fourth dimension are squeezed to 3D.
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
 import tempfile
@@ -180,8 +181,9 @@ def read_volume(path, kind: VolumeKind | None = None) -> Volume3D:
     """Load a ``.nii`` / ``.nii.gz`` file into a :class:`Volume3D`.
 
     Raw values are mapped through ``v * scl_slope + scl_inter`` when
-    ``scl_slope != 0`` (slope 0 means "no scaling" per the NIfTI-1
-    convention). ``kind`` overrides the default inference of PET_SUV for
+    ``scl_slope`` is finite and nonzero (slope 0 means "no scaling" per the
+    NIfTI-1 convention; a NaN or infinite slope is read the same way, as
+    nibabel does). ``kind`` overrides the default inference of PET_SUV for
     float datatypes and LABEL for integer datatypes.
     """
     buf = _read_bytes(path)
@@ -202,7 +204,7 @@ def read_volume(path, kind: VolumeKind | None = None) -> Volume3D:
 
     flat = np.frombuffer(buf, dtype=dt, count=nvox, offset=offset)
     data = np.asfortranarray(flat.reshape((nx, ny, nz), order="F"))
-    if header.scl_slope != 0.0:
+    if math.isfinite(header.scl_slope) and header.scl_slope != 0.0:
         data = data.astype(np.float64) * header.scl_slope + header.scl_inter
 
     if kind is None:

@@ -8,9 +8,12 @@ NIfTIs plus a JSON request; the backend writes its probability NIfTI to
 the path named in the request and exits 0).
 
 TTA applies axis flips to every channel, runs the predictor, undoes the
-flip on the output and averages; flip results are stacked in canonical
-flip order before the mean so the result does not depend on configuration
-order.
+flip on the output and averages. Flipped channels and un-flipped outputs
+are ``np.flip`` views, never copies, and predictors see them read-only.
+Each fold adds its un-flipped outputs into one running sum in canonical
+flip order, and the fold means are summed in fold order, so the result
+does not depend on configuration order and is bitwise equal to the mean
+of the stacked outputs.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ def _canonical_flips(flips) -> tuple[str, ...]:
 
 
 def flip_volume(vol: Volume3D, flip: str) -> Volume3D:
+    """``vol`` flipped along the named axes, as a view of its data."""
     axes = parse_flip(flip)
     if not axes:
         return vol
@@ -71,9 +75,21 @@ def flip_volume(vol: Volume3D, flip: str) -> Volume3D:
 
 
 def flip_stack(stack: ChannelStack, flip: str) -> ChannelStack:
+    """Every channel flipped along the named axes, as views."""
     if not parse_flip(flip):
         return stack
     return ChannelStack(tuple(flip_volume(ch, flip) for ch in stack.channels))
+
+
+def _read_only(stack: ChannelStack) -> ChannelStack:
+    """Read-only views of the channels: predictors share the caller's
+    buffers across every fold and flip, so none may write into them."""
+    channels = []
+    for ch in stack.channels:
+        view = ch.data.view()
+        view.flags.writeable = False
+        channels.append(ch.with_data(view))
+    return ChannelStack(tuple(channels))
 
 
 class Predictor:
@@ -111,10 +127,10 @@ class SuvThresholdPredictor(Predictor):
 class ExternalPredictor(Predictor):
     """Subprocess backend speaking the file contract.
 
-    For each call the stack's four channels are written as NIfTI files and
-    a request JSON {case_id, channel_paths, target_spacing, output_path}
-    is passed as the process's single argument. A nonzero exit or missing
-    output raises PredictorFailure.
+    For each call the stack's four channels are written as uncompressed
+    ``.nii`` files and a request JSON {case_id, channel_paths,
+    target_spacing, output_path} is passed as the process's single
+    argument. A nonzero exit or missing output raises PredictorFailure.
     """
 
     def __init__(self, command, name: str | None = None, target_spacing=(3.3, 3.3, 3.3),
@@ -133,10 +149,10 @@ class ExternalPredictor(Predictor):
             tmp = Path(tmp)
             channel_paths = []
             for i, ch in enumerate(stack.channels):
-                path = tmp / f"channel_{i}.nii.gz"
+                path = tmp / f"channel_{i}.nii"
                 nifti.write_volume(ch, path)
                 channel_paths.append(str(path))
-            out_path = tmp / "probability.nii.gz"
+            out_path = tmp / "probability.nii"
             request = {
                 "case_id": self.case_id,
                 "channel_paths": channel_paths,
@@ -211,19 +227,37 @@ def _run_predictor(predictor: Predictor, stack: ChannelStack, flip: str, fold: i
     wall = time.perf_counter() - t0
     if out.shape != stack.shape:
         raise PredictorFailure(predictor.name, f"output shape {out.shape} != input {stack.shape}")
-    if out.data.size and (out.data.min() < 0.0 or out.data.max() > 1.0):
-        raise PredictorFailure(predictor.name, "output probabilities outside [0, 1]")
+    # NaN compares false, so only this form of the range check rejects it
+    if out.data.size and not (out.data.min() >= 0.0 and out.data.max() <= 1.0):
+        raise PredictorFailure(predictor.name, "output probabilities outside [0, 1] or NaN")
     if on_invoke is not None:
         on_invoke(Invocation(predictor.name, fold, flip, wall))
     return flip_volume(out, flip), wall  # flips are involutions
 
 
+def _flip_mean(predictor: Predictor, stack: ChannelStack, flips, fold: int, on_invoke,
+               identity_out: Volume3D | None = None) -> np.ndarray:
+    """Running-sum mean of the un-flipped outputs over canonical ``flips``.
+
+    ``stack`` must already be read-only. ``identity_out`` is a prediction
+    of the identity flip (always first) made earlier, used instead of a
+    new call. Adding in flip order and then dividing is exactly what
+    ``np.mean(np.stack(outputs), axis=0)`` computes, bit for bit.
+    """
+    if identity_out is None:
+        identity_out = _run_predictor(predictor, stack, flips[0], fold, on_invoke)[0]
+    # a copy: the predictor may hand back a buffer it still owns
+    acc = np.array(identity_out.data, dtype=np.float64, order="C")
+    for flip in flips[1:]:
+        acc += _run_predictor(predictor, stack, flip, fold, on_invoke)[0].data
+    acc /= len(flips)
+    return acc
+
+
 def tta_predict(predictor: Predictor, stack: ChannelStack, flips, fold: int = 0,
                 on_invoke=None) -> Volume3D:
     """Mean prediction over axis flips (flip, predict, unflip, average)."""
-    flips = _canonical_flips(flips)
-    outputs = [_run_predictor(predictor, stack, flip, fold, on_invoke)[0] for flip in flips]
-    mean = np.mean(np.stack([o.data for o in outputs]), axis=0)
+    mean = _flip_mean(predictor, _read_only(stack), _canonical_flips(flips), fold, on_invoke)
     return Volume3D(mean, stack.spacing, VolumeKind.PROBABILITY)
 
 
@@ -237,32 +271,27 @@ def ensemble_predict(cfg: EnsembleConfig, stack: ChannelStack, on_invoke=None) -
     if not cfg.folds:
         raise ValidationError("ensemble needs at least one fold predictor")
     flips = select_flips(cfg, stack.voxel_count)
+    stack = _read_only(stack)
 
     first_result = None
     if cfg.soft_deadline and len(flips) > len(cfg.reduced_flips):
-        out, wall = _run_predictor(cfg.folds[0], stack, "identity", 0, on_invoke)
+        first_result, wall = _run_predictor(cfg.folds[0], stack, "identity", 0, on_invoke)
         projected = wall * len(cfg.folds) * len(flips)
         if projected > cfg.time_budget_s:
             flips = cfg.reduced_flips
-        first_result = out
 
-    fold_means = []
-    for fold, predictor in enumerate(cfg.folds):
-        outputs = []
-        for flip in flips:
-            if fold == 0 and flip == "identity" and first_result is not None:
-                outputs.append(first_result)
-                continue
-            outputs.append(_run_predictor(predictor, stack, flip, fold, on_invoke)[0])
-        fold_means.append(np.mean(np.stack([o.data for o in outputs]), axis=0))
-    mean = np.mean(np.stack(fold_means), axis=0)
-    return Volume3D(mean, stack.spacing, VolumeKind.PROBABILITY)
+    # fold means summed in fold order, then divided, as np.mean over a stack
+    total = _flip_mean(cfg.folds[0], stack, flips, 0, on_invoke, first_result)
+    for fold in range(1, len(cfg.folds)):
+        total += _flip_mean(cfg.folds[fold], stack, flips, fold, on_invoke)
+    total /= len(cfg.folds)
+    return Volume3D(total, stack.spacing, VolumeKind.PROBABILITY)
 
 
 def threshold_mask(prob: Volume3D, threshold: float = 0.5) -> BinaryMask:
     """Foreground where probability >= threshold."""
-    if prob.data.size and (prob.data.min() < 0.0 or prob.data.max() > 1.0):
-        raise ValidationError("probability volume has values outside [0, 1]")
+    if prob.data.size and not (prob.data.min() >= 0.0 and prob.data.max() <= 1.0):
+        raise ValidationError("probability volume has values outside [0, 1] or NaN")
     return BinaryMask(prob.data >= threshold, prob.spacing)
 
 

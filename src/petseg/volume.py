@@ -37,7 +37,12 @@ def _check_spacing(spacing) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class Volume3D:
-    """A 3D scalar grid plus per-axis spacing in millimetres."""
+    """A 3D scalar grid plus per-axis spacing in millimetres.
+
+    ``data`` is float64 (int32 for LABEL) but not necessarily contiguous
+    or writeable: it may be a strided, read-only view such as the
+    ``np.flip`` views the TTA ensemble hands to predictors.
+    """
 
     data: np.ndarray
     spacing: tuple[float, float, float]
@@ -60,7 +65,7 @@ class Volume3D:
         else:
             if data.dtype != np.float64:
                 data = data.astype(np.float64)
-        object.__setattr__(self, "data", np.ascontiguousarray(data))
+        object.__setattr__(self, "data", data)
         object.__setattr__(self, "spacing", _check_spacing(self.spacing))
 
     @property

@@ -178,3 +178,15 @@ def naive_case_metrics(pred, gt, spacing, connectivity):
         "n_pred": n_pred,
         "n_gt": n_gt,
     }
+
+
+def stacked_ensemble_mean(predict, n_folds, flip_axes):
+    """TTA x fold ensemble by stacking: per fold, ``np.mean`` over the
+    stacked un-flipped outputs in ``flip_axes`` order; then ``np.mean``
+    over the stacked fold means. ``predict(fold, axes)`` returns the
+    prediction for the input flipped along ``axes``."""
+    fold_means = []
+    for fold in range(n_folds):
+        outputs = [np.flip(predict(fold, axes), axes) for axes in flip_axes]
+        fold_means.append(np.mean(np.stack(outputs), axis=0))
+    return np.mean(np.stack(fold_means), axis=0)

@@ -112,6 +112,17 @@ class TestReadVolume:
         vol = nifti.read_volume(path)
         assert np.all(vol.data == 1.0)
 
+    @pytest.mark.parametrize("slope", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_slope_means_raw(self, tmp_path, rng, slope):
+        data = rng.random((2, 3, 4)).astype(np.float32).astype(np.float64)
+        path = tmp_path / "v.nii"
+        nifti.write_volume(Volume3D(data, (1.0, 1.0, 1.0)), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 112, slope)  # scl_slope
+        path.write_bytes(bytes(raw))
+        assert not np.isfinite(nifti.parse_header(bytes(raw)).scl_slope)  # the patch landed
+        assert np.array_equal(nifti.read_volume(path).data, data)
+
     def test_gzip_transparency(self, tmp_path):
         values = np.arange(64, dtype=np.float64).reshape(4, 4, 4)
         plain = nifti.read_volume(raw_file(tmp_path, "a.nii", values=values))

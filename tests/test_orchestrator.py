@@ -1,6 +1,7 @@
 import json
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,11 +25,12 @@ from petseg.orchestrator import (
     threshold_mask,
     tta_predict,
 )
-from petseg.preprocess import WindowSpec, build_channels
+from petseg.preprocess import ChannelStack, WindowSpec, build_channels
 from petseg.synthdata import PhantomSpec, TracerStyle, make_phantom
 from petseg.volume import BinaryMask, Volume3D, VolumeKind
 
 from conftest import random_volume
+from oracles import stacked_ensemble_mean
 
 
 def make_stack(rng, shape=(6, 5, 4), spacing=(2.0, 2.0, 2.0)):
@@ -47,6 +49,31 @@ class ConstantPredictor(Predictor):
     def predict(self, stack):
         return Volume3D(np.full(stack.shape, self.value), stack.spacing,
                         VolumeKind.PROBABILITY)
+
+
+class IndexPredictor(Predictor):
+    """Not flip-equivariant: the probability depends on the array index and
+    the fold, so a different summation order shows in the last bits."""
+
+    def __init__(self, fold):
+        self.fold = fold
+        self.name = f"index_f{fold}"
+
+    def predict(self, stack):
+        pet = stack.pet_clipped.data
+        idx = np.arange(pet.size, dtype=np.float64).reshape(pet.shape)
+        prob = 0.5 + 0.5 * np.sin(0.37 * (self.fold + 1) * idx + pet)
+        return Volume3D(prob, stack.spacing, VolumeKind.PROBABILITY)
+
+
+def index_oracle(stack, n_folds, flips):
+    """Stack-then-mean reference for IndexPredictor folds, flipping copies."""
+    def predict(fold, axes):
+        flipped = ChannelStack(tuple(ch.with_data(np.flip(ch.data, axes).copy())
+                                     for ch in stack.channels))
+        return IndexPredictor(fold).predict(flipped).data
+
+    return stacked_ensemble_mean(predict, n_folds, [parse_flip(f) for f in flips])
 
 
 class TestFlips:
@@ -185,13 +212,98 @@ class TestEnsemblePredict:
         flips_used = {c.flip for c in calls}
         assert flips_used == {"identity", "z"}
 
+    def test_nan_output_fails_loudly(self, rng):
+        class NanPredictor(Predictor):
+            name = "nan_backend"
+
+            def predict(self, stack):
+                prob = np.full(stack.shape, 0.3)
+                prob[1, 2, 3] = np.nan
+                return Volume3D(prob, stack.spacing, VolumeKind.PROBABILITY)
+
+        cfg = EnsembleConfig(folds=(NanPredictor(),))
+        with pytest.raises(PredictorFailure, match="nan_backend"):
+            ensemble_predict(cfg, make_stack(rng))
+
+    def test_predictor_sees_read_only_input(self, rng):
+        stack = make_stack(rng)
+        before = [ch.data.copy() for ch in stack.channels]
+
+        class Writer(SuvThresholdPredictor):
+            def predict(self, stack):
+                stack.pet_clipped.data[...] = 0.0
+                return super().predict(stack)
+
+        for run in (lambda: ensemble_predict(EnsembleConfig(folds=(Writer(),)), stack),
+                    lambda: tta_predict(Writer(), stack, ALL_FLIPS)):
+            with pytest.raises(PredictorFailure):
+                run()
+        for ch, data in zip(stack.channels, before):
+            assert np.array_equal(ch.data, data)
+            assert ch.data.flags.writeable
+
+    def test_peak_memory_at_most_8_volumes(self):
+        stack = make_stack(np.random.default_rng(0), shape=(64, 64, 48))
+        cfg = make_suv_ensemble(n_folds=6)
+        assert len(select_flips(cfg, stack.voxel_count)) == 8
+        volume_bytes = stack.voxel_count * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ensemble_predict(cfg, stack)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * volume_bytes, f"peak {peak / volume_bytes:.1f} volume-equivalents"
+
     def test_reduced_must_be_subset(self):
         with pytest.raises(ValidationError):
             EnsembleConfig(folds=(ConstantPredictor(0.1),), tta_flips=("identity", "x"),
                            reduced_flips=("identity", "y"))
 
 
+class TestStackedMeanOracle:
+    """Running sums must equal np.mean over the stacked outputs bit for bit."""
+
+    def test_six_folds_eight_flips(self, rng):
+        stack = make_stack(rng, shape=(7, 6, 5))
+        cfg = EnsembleConfig(folds=tuple(IndexPredictor(f) for f in range(6)))
+        expected = index_oracle(stack, 6, ALL_FLIPS)
+        assert np.array_equal(ensemble_predict(cfg, stack).data, expected)
+        # the predictor makes summation order visible in the bits
+        assert not np.array_equal(index_oracle(stack, 6, tuple(reversed(ALL_FLIPS))), expected)
+
+    def test_reduced_flips(self, rng):
+        stack = make_stack(rng, shape=(7, 6, 5))
+        cfg = EnsembleConfig(folds=tuple(IndexPredictor(f) for f in range(6)),
+                             tta_reduction_threshold=stack.voxel_count - 1)
+        assert select_flips(cfg, stack.voxel_count) == ("identity", "z")
+        expected = index_oracle(stack, 6, ("identity", "z"))
+        assert np.array_equal(ensemble_predict(cfg, stack).data, expected)
+
+    @pytest.mark.parametrize("budget, flips", [(1e9, ALL_FLIPS), (1e-12, ("identity", "z"))])
+    def test_soft_deadline_reuses_first_output(self, rng, budget, flips):
+        stack = make_stack(rng, shape=(7, 6, 5))
+        cfg = EnsembleConfig(folds=tuple(IndexPredictor(f) for f in range(6)),
+                             time_budget_s=budget, soft_deadline=True)
+        calls = []
+        out = ensemble_predict(cfg, stack, on_invoke=calls.append)
+        assert len(calls) == 6 * len(flips)  # fold 0's identity output is reused
+        assert np.array_equal(out.data, index_oracle(stack, 6, flips))
+
+    def test_tta_predict_single_fold(self, rng):
+        stack = make_stack(rng, shape=(7, 6, 5))
+        out = tta_predict(IndexPredictor(0), stack, tuple(reversed(ALL_FLIPS)))
+        assert np.array_equal(out.data, index_oracle(stack, 1, ALL_FLIPS))
+
+
 class TestThresholdMask:
+    def test_nan_rejected(self):
+        data = np.full((2, 3, 4), 0.9)
+        data[1, 1, 1] = np.nan
+        with pytest.raises(ValidationError):
+            threshold_mask(Volume3D(data, (1, 1, 1), VolumeKind.PROBABILITY))
+
     def test_at_threshold_is_foreground(self):
         prob = Volume3D(np.full((2, 2, 2), 0.5), (1, 1, 1), VolumeKind.PROBABILITY)
         mask = threshold_mask(prob, 0.5)
@@ -265,6 +377,9 @@ class TestExternalPredictor:
         assert len(request["channel_paths"]) == 4
         assert request["target_spacing"] == [3.3, 3.3, 3.3]
         assert "output_path" in request
+        # plain .nii: gzip would cost far more than the write itself
+        assert all(p.endswith(".nii") for p in request["channel_paths"])
+        assert request["output_path"].endswith(".nii")
 
     def test_nonzero_exit_raises(self, tmp_path, rng):
         script = tmp_path / "backend.py"
