@@ -3,10 +3,16 @@
 Supports single-file ``.nii`` / ``.nii.gz`` (magic ``n+1\\0``) volumes with
 datatypes uint8, int16, float32 and float64, in either byte order
 (auto-detected through the ``sizeof_hdr == 348`` probe). Paired
-``.hdr/.img`` files, NIfTI-2, extensions and oblique affines are out of
-scope; volumes are assumed axis-aligned with x = left-right,
-y = anterior-posterior, z = inferior-superior. 4D files with a singleton
-fourth dimension are squeezed to 3D.
+``.hdr/.img`` files, NIfTI-2 and extensions are out of scope. Volumes
+are loaded axis-aligned as RAS+: x = left-right, y = anterior-posterior,
+z = inferior-superior. With ``sform_code > 0`` the sform must be a
+diagonal scaling; an axis with a negative entry is flipped on reading,
+and an oblique or permuted sform (a nonzero off-diagonal or a zero
+diagonal entry) raises ``MalformedHeader``. With ``sform_code == 0`` the
+data are taken as stored. 4D files with a singleton fourth dimension are
+squeezed to 3D. Non-finite ``pixdim[1..3]`` or ``vox_offset``, and a
+non-finite ``scl_inter`` next to a valid ``scl_slope``, raise
+``MalformedHeader``.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from .errors import (
 from .volume import Volume3D, VolumeKind
 
 HEADER_SIZE = 348
+MIN_VOX_OFFSET = HEADER_SIZE + 4  # single-file data start after the extension flag
 MAGIC_SINGLE = b"n+1\x00"
 
 # datatype code -> (numpy base dtype, bitpix)
@@ -97,6 +104,13 @@ class NiftiHeader:
     def spacing(self) -> tuple[float, float, float]:
         return (self.pixdim[1], self.pixdim[2], self.pixdim[3])
 
+    @property
+    def flipped_axes(self) -> tuple[int, ...]:
+        """Axes the sform maps to decreasing world coordinates."""
+        if self.sform_code <= 0:
+            return ()
+        return tuple(axis for axis in range(3) if self.srow[axis][axis] < 0)
+
 
 def parse_header(buf: bytes) -> NiftiHeader:
     """Decode a NIfTI-1 header from the first 348 bytes of ``buf``.
@@ -141,8 +155,18 @@ def parse_header(buf: bytes) -> NiftiHeader:
         raise MalformedHeader(f"4D volumes require a singleton 4th dimension, got dim[4]={dim[4]}")
     if any(d < 1 for d in dim[1:4]):
         raise MalformedHeader(f"spatial dims must be >= 1, got {dim[1:4]}")
-    if any(p <= 0 for p in pixdim[1:4]):
-        raise MalformedHeader(f"pixdim[1..3] must be > 0, got {pixdim[1:4]}")
+    if any(not (math.isfinite(p) and p > 0) for p in pixdim[1:4]):
+        raise MalformedHeader(f"pixdim[1..3] must be finite and > 0, got {pixdim[1:4]}")
+    if not math.isfinite(vox_offset):
+        raise MalformedHeader(f"vox_offset must be finite, got {vox_offset}")
+    if math.isfinite(scl_slope) and scl_slope != 0 and not math.isfinite(scl_inter):
+        raise MalformedHeader(f"scl_slope {scl_slope} comes with a non-finite scl_inter {scl_inter}")
+    srow = (srow_flat[0:4], srow_flat[4:8], srow_flat[8:12])
+    if sform_code > 0:
+        for axis, row in enumerate(srow):
+            off_diagonal = row[:axis] + row[axis + 1:3]
+            if any(v != 0 for v in off_diagonal) or not (math.isfinite(row[axis]) and row[axis] != 0):
+                raise MalformedHeader(f"sform is not a diagonal scaling: srow_{'xyz'[axis]} = {row}")
 
     return NiftiHeader(
         dim=tuple(int(d) for d in dim),
@@ -155,7 +179,7 @@ def parse_header(buf: bytes) -> NiftiHeader:
         magic=magic,
         byteorder=byteorder,
         sform_code=int(sform_code),
-        srow=(tuple(srow_flat[0:4]), tuple(srow_flat[4:8]), tuple(srow_flat[8:12])),
+        srow=srow,
     )
 
 
@@ -183,7 +207,8 @@ def read_volume(path, kind: VolumeKind | None = None) -> Volume3D:
     Raw values are mapped through ``v * scl_slope + scl_inter`` when
     ``scl_slope`` is finite and nonzero (slope 0 means "no scaling" per the
     NIfTI-1 convention; a NaN or infinite slope is read the same way, as
-    nibabel does). ``kind`` overrides the default inference of PET_SUV for
+    nibabel does). Axes that the sform flips are flipped back, so the data
+    are RAS+. ``kind`` overrides the default inference of PET_SUV for
     float datatypes and LABEL for integer datatypes.
     """
     buf = _read_bytes(path)
@@ -195,15 +220,15 @@ def read_volume(path, kind: VolumeKind | None = None) -> Volume3D:
     dt = np.dtype(base).newbyteorder(header.byteorder)
 
     offset = int(round(header.vox_offset))
-    if offset < HEADER_SIZE:
-        raise MalformedHeader(f"vox_offset {offset} points inside the header")
+    if offset < MIN_VOX_OFFSET:
+        raise MalformedHeader(f"vox_offset {offset} points inside the header or its extension flag")
     if len(buf) < offset + nvox * dt.itemsize:
         raise TruncatedData(
             f"{path}: need {offset + nvox * dt.itemsize} bytes for shape {header.shape}, got {len(buf)}"
         )
 
     flat = np.frombuffer(buf, dtype=dt, count=nvox, offset=offset)
-    data = np.asfortranarray(flat.reshape((nx, ny, nz), order="F"))
+    data = np.flip(flat.reshape((nx, ny, nz), order="F"), header.flipped_axes)
     if math.isfinite(header.scl_slope) and header.scl_slope != 0.0:
         data = data.astype(np.float64) * header.scl_slope + header.scl_inter
 

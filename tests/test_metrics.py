@@ -1,7 +1,9 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from petseg.errors import ShapeMismatch
 from petseg.metrics import (
@@ -67,6 +69,63 @@ class TestConnectedComponents:
             ref_labels, ref_n = bfs_components(m, connectivity)
             assert n == ref_n
             assert np.array_equal(labels.data, ref_labels)
+
+
+LARGE_SHAPE = (128, 128, 160)
+
+
+def large_masks():
+    """Three 128x128x160 masks: a solid ellipsoid, uniform noise and
+    thresholded smooth noise."""
+    rng = np.random.default_rng(7)
+    x, y, z = np.ogrid[:128, :128, :160]
+    ellipsoid = ((x - 64) / 50.0) ** 2 + ((y - 64) / 50.0) ** 2 + ((z - 80) / 54.0) ** 2 <= 1
+    uniform = rng.random(LARGE_SHAPE) < 0.17
+    smooth = ndimage.gaussian_filter(rng.standard_normal(LARGE_SHAPE), 2.0)
+    blobs = smooth > np.quantile(smooth, 1 - 83_000 / smooth.size)
+    return {"ellipsoid": ellipsoid, "uniform": uniform, "blobs": blobs}
+
+
+@pytest.fixture(scope="module")
+def large():
+    return large_masks()
+
+
+class TestLargeVolumeOracle:
+    def test_mask_sizes(self, large):
+        assert np.count_nonzero(large["ellipsoid"]) == 565_265
+        assert 435_000 < np.count_nonzero(large["uniform"]) < 455_000
+        assert np.count_nonzero(large["blobs"]) == 83_000
+
+    @pytest.mark.parametrize("name", ["ellipsoid", "uniform", "blobs"])
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    def test_matches_ndimage_label(self, large, name, connectivity):
+        m = large[name]
+        # ndimage scans its last axis fastest; on m.T that is x
+        structure = ndimage.generate_binary_structure(3, {6: 1, 18: 2, 26: 3}[connectivity])
+        ref, ref_n = ndimage.label(m.T, structure)
+        labels, n = connected_components(mask_of(m), connectivity)
+        assert n == ref_n
+        assert np.array_equal(labels.data, ref.T)
+
+
+class TestMetricsMemory:
+    def test_case_metrics_peak_volume_equivalents(self, rng):
+        x, y, z = np.ogrid[:128, :128, :160]
+        gt = ((x - 60) / 30.0) ** 2 + ((y - 64) / 28.0) ** 2 + ((z - 80) / 40.0) ** 2 <= 1
+        gt |= rng.random(LARGE_SHAPE) < 0.01
+        pred = np.roll(gt, 3, axis=0)
+        assert 160_000 < np.count_nonzero(pred) < 180_000
+        pred_mask, gt_mask = mask_of(pred), mask_of(gt)
+        int32_volume = pred.size * 4
+        tracemalloc.start()
+        try:
+            m = compute_case_metrics(pred_mask, gt_mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.n_pred_components > 1
+        assert peak <= 2.5 * int32_volume, f"peak {peak / int32_volume:.2f} int32 volumes"
 
 
 class TestDice:

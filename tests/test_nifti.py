@@ -3,12 +3,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from petseg import nifti
+from petseg import cli, nifti
 from petseg.errors import (
     BadMagic,
     DecompressFailure,
     EndiannessUndetectable,
+    IoFailure,
     LabelOverflow,
     MalformedHeader,
     TruncatedData,
@@ -260,3 +263,128 @@ class TestRoundTripSweep:
         b = nifti.read_volume(be)
         assert np.array_equal(a.data, b.data)
         assert a.spacing == b.spacing
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+PIXDIM_AT = 76       # pixdim[0]; pixdim[i] sits 4*i bytes later
+VOX_OFFSET_AT = 108  # then scl_slope at 112, scl_inter at 116
+SFORM_CODE_AT = 254
+SROW_AT = 280        # srow_x, srow_y, srow_z: 4 floats each
+
+
+def written_file(path, rng, shape=(3, 4, 5)):
+    """A float32 file from ``write_volume`` (sform_code 1, positive diagonal)
+    and the data it holds."""
+    data = rng.random(shape).astype(np.float32).astype(np.float64)
+    nifti.write_volume(Volume3D(data, (1.0, 2.0, 3.0)), path)
+    return data
+
+
+def patch_floats(path, at, *values):
+    raw = bytearray(path.read_bytes())
+    struct.pack_into(f"<{len(values)}f", raw, at, *values)
+    path.write_bytes(bytes(raw))
+
+
+class TestNonFiniteHeaderFloats:
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_pixdim(self, tmp_path, rng, axis, value):
+        path = tmp_path / "v.nii"
+        written_file(path, rng)
+        patch_floats(path, PIXDIM_AT + 4 * axis, value)
+        with pytest.raises(MalformedHeader):
+            nifti.read_volume(path)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_vox_offset(self, tmp_path, rng, value):
+        path = tmp_path / "v.nii"
+        written_file(path, rng)
+        patch_floats(path, VOX_OFFSET_AT, value)
+        with pytest.raises(MalformedHeader):
+            nifti.read_volume(path)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_intercept_with_valid_slope(self, tmp_path, rng, value):
+        path = tmp_path / "v.nii"
+        written_file(path, rng)
+        patch_floats(path, VOX_OFFSET_AT + 4, 2.0, value)
+        with pytest.raises(MalformedHeader):
+            nifti.read_volume(path)
+
+    def test_intercept_ignored_without_scaling(self, tmp_path, rng):
+        path = tmp_path / "v.nii"
+        data = written_file(path, rng)
+        patch_floats(path, VOX_OFFSET_AT + 4, 0.0, float("nan"))
+        assert np.array_equal(nifti.read_volume(path).data, data)
+
+    @pytest.mark.parametrize("offset", [348.0, 350.0, 351.0])
+    def test_vox_offset_inside_extension_flag(self, tmp_path, rng, offset):
+        path = tmp_path / "v.nii"
+        written_file(path, rng)
+        patch_floats(path, VOX_OFFSET_AT, offset)
+        with pytest.raises(MalformedHeader):
+            nifti.read_volume(path)
+
+    @pytest.mark.parametrize("at", [VOX_OFFSET_AT, PIXDIM_AT + 4, VOX_OFFSET_AT + 8])
+    def test_cli_exit_2(self, tmp_path, rng, at):
+        path = tmp_path / "v.nii"
+        written_file(path, rng)
+        patch_floats(path, at, float("nan"))
+        assert cli.main(["inspect", str(path)]) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(pixdim=st.tuples(*[st.floats(width=32)] * 3), vox_offset=st.floats(width=32),
+           slope=st.floats(width=32), inter=st.floats(width=32))
+    def test_header_floats_raise_or_read_finite(self, tmp_path_factory, pixdim, vox_offset, slope, inter):
+        path = tmp_path_factory.getbasetemp() / "header_floats.nii"
+        written_file(path, np.random.default_rng(0))
+        patch_floats(path, PIXDIM_AT + 4, *pixdim)
+        patch_floats(path, VOX_OFFSET_AT, vox_offset, slope, inter)
+        try:
+            vol = nifti.read_volume(path)
+        except IoFailure:
+            return
+        assert np.isfinite(vol.data).all()
+
+
+class TestOrientation:
+    def test_written_sform_is_positive_diagonal(self, tmp_path, rng):
+        path = tmp_path / "v.nii"
+        written_file(path, rng)
+        header = nifti.parse_header(path.read_bytes())
+        assert header.sform_code > 0
+        assert header.flipped_axes == ()
+
+    @pytest.mark.parametrize("axes", [(0,), (2,), (0, 1, 2)])
+    def test_negative_diagonal_flips(self, tmp_path, rng, axes):
+        path = tmp_path / "v.nii"
+        data = written_file(path, rng)
+        for axis in axes:
+            patch_floats(path, SROW_AT + 20 * axis, -(axis + 1.0))
+        vol = nifti.read_volume(path)
+        assert np.array_equal(vol.data, np.flip(data, axes))
+        assert vol.spacing == (1.0, 2.0, 3.0)
+
+    def test_no_sform_keeps_stored_order(self, tmp_path, rng):
+        path = tmp_path / "v.nii"
+        data = written_file(path, rng)
+        patch_floats(path, SROW_AT, -1.0)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<h", raw, SFORM_CODE_AT, 0)
+        path.write_bytes(bytes(raw))
+        assert np.array_equal(nifti.read_volume(path).data, data)
+
+    @pytest.mark.parametrize("at, value", [
+        (SROW_AT + 4, 0.5),            # srow_x[1]: oblique
+        (SROW_AT + 16 + 8, 1e-3),      # srow_y[2]
+        (SROW_AT + 32, float("nan")),  # srow_z[0]
+        (SROW_AT + 16 + 4, 0.0),       # srow_y[1]: zero diagonal
+        (SROW_AT + 32 + 8, float("inf")),
+    ])
+    def test_oblique_or_degenerate_sform_rejected(self, tmp_path, rng, at, value):
+        path = tmp_path / "v.nii"
+        written_file(path, rng)
+        patch_floats(path, at, value)
+        with pytest.raises(MalformedHeader):
+            nifti.read_volume(path)
