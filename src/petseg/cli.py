@@ -15,6 +15,7 @@ import dataclasses
 import json
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from .discriminator import (
     predict_tracer,
     save_mip_dataset,
     train_fold,
+    train_val_split,
     write_history_csv,
 )
 from .errors import IoFailure, PetsegError, PredictorFailure, ValidationError
@@ -56,7 +58,7 @@ from .preprocess import (
     resample_nearest,
     resample_trilinear,
 )
-from .synthdata import TracerStyle, make_phantom, random_phantom_spec
+from .synthdata import synth_cases
 from .volume import Volume3D, VolumeKind
 
 EXIT_OK = 0
@@ -89,6 +91,13 @@ def _flip_list(text: str):
     return tuple(f.strip() for f in text.split(",") if f.strip())
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
@@ -101,6 +110,26 @@ def _load_config_file(path) -> dict:
     if not isinstance(doc, dict):
         raise ValidationError(f"config {path} must hold a JSON object")
     return doc
+
+
+_TRAIN_FLAG_HELP = {
+    "lr": "learning rate",
+    "max_epochs": "epoch cap",
+    "patience": "early-stopping patience",
+    "batch_size": "minibatch size",
+    "val_fraction": "validation share (cv-disc: of each training fold)",
+    "weight_decay": "decoupled weight decay",
+    "seed": "training seed (cv-disc: also the fold seed)",
+}
+
+
+def _add_train_flags(p):
+    """--config plus one flag per TrainConfig field; unset flags stay off
+    ``args`` so the config file and the defaults show through."""
+    p.add_argument("--config", default=None, help="JSON config file (flags override it)")
+    for f in dataclasses.fields(TrainConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default),
+                       default=argparse.SUPPRESS, help=f"{_TRAIN_FLAG_HELP[f.name]} (default {f.default})")
 
 
 def _merge_train_config(args) -> TrainConfig:
@@ -129,7 +158,7 @@ def _print_json_error(exc: BaseException):
 def cmd_inspect(args) -> int:
     buf = nifti._read_bytes(args.volume)
     header = nifti.parse_header(buf)
-    vol = nifti.read_volume(args.volume)
+    vol = nifti.decode_volume(buf, header, source=args.volume)
     print(f"path:        {args.volume}")
     print(f"shape:       {header.shape}")
     print(f"spacing_mm:  {tuple(round(s, 6) for s in header.spacing)}")
@@ -216,25 +245,17 @@ def cmd_synth(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     mips = []
-    for i in range(args.n):
-        style = TracerStyle.FDG_LIKE if i % 2 == 0 else TracerStyle.PSMA_LIKE
-        item_seed = int(np.random.SeedSequence(args.seed, spawn_key=(i,)).generate_state(1)[0])
-        spec = random_phantom_spec(style, item_seed)
-        pet, ct, lesion = make_phantom(spec)
-        case_id = f"synth_{i:04d}"
+    for mip, pet, ct, lesion in synth_cases(args.n, args.seed):
         if args.with_volumes:
-            nifti.write_volume(pet, out_dir / f"{case_id}_pet.nii.gz")
-            nifti.write_volume(ct, out_dir / f"{case_id}_ct.nii.gz")
-            nifti.write_volume(lesion.to_label_volume(), out_dir / f"{case_id}_lesion.nii.gz")
-        mip = discriminator_mip(pet)
-        from .discriminator import LabeledMip
-
-        mips.append(LabeledMip(mip, 0 if style is TracerStyle.FDG_LIKE else 1, case_id))
+            nifti.write_volume(pet, out_dir / f"{mip.case_id}_pet.nii.gz")
+            nifti.write_volume(ct, out_dir / f"{mip.case_id}_ct.nii.gz")
+            nifti.write_volume(lesion.to_label_volume(), out_dir / f"{mip.case_id}_lesion.nii.gz")
+        mips.append(mip)
     manifest_path = save_mip_dataset(out_dir, mips)
     write_run_manifest(
         out_dir, "synth",
         {"n": args.n, "seed": args.seed, "out_dir": str(out_dir),
-         "with_volumes": bool(args.with_volumes), "jobs": args.jobs},
+         "with_volumes": bool(args.with_volumes)},
         seed=args.seed,
         timings={"total_s": time.perf_counter() - t0},
         extra={"mip_manifest": manifest_path.name},
@@ -247,11 +268,7 @@ def cmd_train_disc(args) -> int:
     t0 = time.perf_counter()
     cfg = _merge_train_config(args)
     data = load_mip_dataset(args.manifest)
-    rng = np.random.default_rng(cfg.seed)
-    perm = rng.permutation(len(data))
-    n_val = min(max(1, round(cfg.val_fraction * len(data))), max(1, len(data) - 1))
-    val = [data[i] for i in perm[:n_val]]
-    train = [data[i] for i in perm[n_val:]]
+    train, val = train_val_split(data, cfg.val_fraction, np.random.default_rng(cfg.seed))
     model, history = train_fold(train, val, cfg)
     model.save(args.out_model)
     history_path = args.history or str(Path(args.out_model).with_suffix("")) + "_history.csv"
@@ -331,11 +348,6 @@ def cmd_fuse(args) -> int:
     return EXIT_OK
 
 
-def _evaluate_pair(pred_path, gt_path, case_id, connectivity, lesion_label):
-    return evaluate_case(pred_path, gt_path, case_id=case_id, connectivity=connectivity,
-                         lesion_label=lesion_label)
-
-
 def cmd_evaluate(args) -> int:
     t0 = time.perf_counter()
     pred_dir = Path(args.pred_dir)
@@ -345,31 +357,30 @@ def cmd_evaluate(args) -> int:
     common = sorted(set(pred_files) & set(gt_files))
     if not common:
         raise ValidationError(f"no matching .nii files between {pred_dir} and {gt_dir}")
+    unmatched = {"pred": sorted(set(pred_files) - set(gt_files)),
+                 "gt": sorted(set(gt_files) - set(pred_files))}
 
-    jobs = max(1, args.jobs)
-    tasks = [(pred_files[n], gt_files[n], n.split(".")[0]) for n in common]
-    if jobs == 1:
-        cases = [_evaluate_pair(p, g, c, args.connectivity, args.lesion_label) for p, g, c in tasks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    def evaluate(name):
+        return evaluate_case(pred_files[name], gt_files[name], case_id=name.split(".")[0],
+                             connectivity=args.connectivity, lesion_label=args.lesion_label)
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cases = list(pool.map(
-                lambda t: _evaluate_pair(t[0], t[1], t[2], args.connectivity, args.lesion_label),
-                tasks,
-            ))
+    # threads overlap: gunzip and the labeller's numpy work release the GIL
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        cases = list(pool.map(evaluate, common))
     write_metrics_csv(args.out, cases)
     write_run_manifest(
         args.out, "evaluate",
         {"pred_dir": str(pred_dir), "gt_dir": str(gt_dir), "out": str(args.out),
-         "connectivity": args.connectivity, "lesion_label": args.lesion_label, "jobs": jobs},
+         "connectivity": args.connectivity, "lesion_label": args.lesion_label, "jobs": args.jobs},
         inputs=[pred_files[n] for n in common] + [gt_files[n] for n in common],
         timings={"total_s": time.perf_counter() - t0},
+        extra={"unmatched": unmatched},
     )
     defined = [c.dice for c in cases if c.dice is not None]
     mean_dice = float(np.mean(defined)) if defined else float("nan")
+    skipped = len(unmatched["pred"]) + len(unmatched["gt"])
     print(f"evaluated {len(cases)} cases -> {args.out} (mean dice over "
-          f"{len(defined)} defined: {mean_dice:.4f})")
+          f"{len(defined)} defined: {mean_dice:.4f}; {skipped} unmatched files skipped)")
     return EXIT_OK
 
 
@@ -531,41 +542,18 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True, help="output directory")
     p.add_argument("--with-volumes", action="store_true",
                    help="also write pet/ct/lesion volumes per case")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     p = add("train-disc", cmd_train_disc, "train the tracer classifier on a MIP manifest")
     p.add_argument("--manifest", required=True, help="JSON list of {case_id, mip_path, label}")
     p.add_argument("--out-model", required=True, help="output model manifest (.json; blob sits next to it)")
     p.add_argument("--history", default=None, help="history CSV path (default: <model>_history.csv)")
-    p.add_argument("--config", default=None, help="JSON config file (flags override it)")
-    p.add_argument("--lr", type=float, default=None, help="learning rate (default 0.0001)")
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None,
-                   help="epoch cap (default 100)")
-    p.add_argument("--patience", type=int, default=None, help="early-stopping patience (default 10)")
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None,
-                   help="minibatch size (default 16)")
-    p.add_argument("--val-fraction", dest="val_fraction", type=float, default=None,
-                   help="validation share (default 0.2)")
-    p.add_argument("--weight-decay", dest="weight_decay", type=float, default=None,
-                   help="decoupled weight decay (default 0.01)")
-    p.add_argument("--seed", type=int, default=None, help="training seed (default 0)")
+    _add_train_flags(p)
 
     p = add("cv-disc", cmd_cv_disc, "stratified k-fold cross-validation of the classifier")
     p.add_argument("--manifest", required=True, help="JSON list of {case_id, mip_path, label}")
     p.add_argument("--k", type=int, default=5, help="number of folds")
     p.add_argument("--out", default=None, help="optional per-fold accuracy CSV")
-    p.add_argument("--config", default=None, help="JSON config file (flags override it)")
-    p.add_argument("--lr", type=float, default=None, help="learning rate (default 0.0001)")
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None,
-                   help="epoch cap (default 100)")
-    p.add_argument("--patience", type=int, default=None, help="early-stopping patience (default 10)")
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None,
-                   help="minibatch size (default 16)")
-    p.add_argument("--val-fraction", dest="val_fraction", type=float, default=None,
-                   help="validation share carved from each training fold (default 0.2)")
-    p.add_argument("--weight-decay", dest="weight_decay", type=float, default=None,
-                   help="decoupled weight decay (default 0.01)")
-    p.add_argument("--seed", type=int, default=None, help="fold/shuffle seed (default 0)")
+    _add_train_flags(p)
 
     p = add("predict-tracer", cmd_predict_tracer,
             "classify the tracer of a PET volume (exit 10 = FDG, 11 = PSMA)")
@@ -590,7 +578,7 @@ def build_parser() -> _Parser:
                    help="component neighborhood")
     p.add_argument("--lesion-label", type=int, default=None,
                    help="foreground label (default: any nonzero voxel)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker threads")
 
     p = add("run", cmd_run, "full routed inference: discriminate, ensemble, threshold")
     p.add_argument("--ct", required=True, help="CT volume (HU)")

@@ -197,6 +197,15 @@ def train_fold(train, val, cfg: TrainConfig = TrainConfig(), specs=DEFAULT_ARCH)
     return DiscriminatorModel(network, seed=cfg.seed), history
 
 
+def train_val_split(data, val_fraction: float, rng: np.random.Generator):
+    """Shuffle ``data`` with ``rng`` and return ``(train, val)``; ``val``
+    holds ``round(val_fraction * n)`` items, at least one, while ``train``
+    keeps at least one (below two items one side is empty)."""
+    perm = rng.permutation(len(data))
+    n_val = min(max(1, round(val_fraction * len(data))), len(data) - 1)
+    return [data[i] for i in perm[n_val:]], [data[i] for i in perm[:n_val]]
+
+
 @dataclass(frozen=True)
 class CVResult:
     fold_accuracies: tuple[float, ...]
@@ -240,11 +249,7 @@ def cross_validate(data, k: int = 5, cfg: TrainConfig = TrainConfig(), specs=DEF
         fold_seed = int(np.random.SeedSequence(cfg.seed, spawn_key=(f,)).generate_state(1)[0])
         fold_rng = np.random.default_rng(fold_seed)
 
-        perm = fold_rng.permutation(len(rest))
-        n_val = min(max(1, round(cfg.val_fraction * len(rest))), len(rest) - 1)
-        val = [rest[i] for i in perm[:n_val]]
-        tr = [rest[i] for i in perm[n_val:]]
-
+        tr, val = train_val_split(rest, cfg.val_fraction, fold_rng)
         model, history = train_fold(tr, val, replace(cfg, seed=fold_seed), specs=specs)
         x_held = _to_batch(held)
         y_held = np.array([[m.label] for m in held], dtype=np.float64)

@@ -32,6 +32,26 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def atomic_write(path, payload: bytes) -> None:
+    """Write ``payload`` to a temporary sibling, then rename it over ``path``.
+
+    On failure the temporary file is removed, an existing ``path`` is left
+    as it was, and ``OSError`` becomes ``IoFailure``."""
+    path = Path(path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
 def manifest_path_for(target) -> Path:
     """Directory outputs get ``run_manifest.json`` inside; file outputs a
     sibling ``<name>.manifest.json``."""
@@ -62,17 +82,5 @@ def write_run_manifest(target, subcommand: str, config: dict, inputs=(), seed=No
     if extra:
         doc["result"] = extra
     path = manifest_path_for(target)
-    payload = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
-    try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise IoFailure(f"cannot write manifest {path}: {exc}") from exc
+    atomic_write(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
     return path

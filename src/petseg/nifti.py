@@ -19,12 +19,9 @@ from __future__ import annotations
 
 import gzip
 import math
-import os
 import struct
-import tempfile
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +34,9 @@ from .errors import (
     MalformedHeader,
     TruncatedData,
     UnsupportedDatatype,
+    ValidationError,
 )
+from .manifest import atomic_write
 from .volume import Volume3D, VolumeKind
 
 HEADER_SIZE = 348
@@ -204,16 +203,25 @@ def _read_bytes(path) -> bytes:
 def read_volume(path, kind: VolumeKind | None = None) -> Volume3D:
     """Load a ``.nii`` / ``.nii.gz`` file into a :class:`Volume3D`.
 
+    See :func:`decode_volume` for how the bytes become a volume.
+    """
+    buf = _read_bytes(path)
+    return decode_volume(buf, parse_header(buf), kind, source=path)
+
+
+def decode_volume(buf: bytes, header: NiftiHeader, kind: VolumeKind | None = None,
+                  source="<buffer>") -> Volume3D:
+    """Turn the (decompressed) bytes of a NIfTI file into a :class:`Volume3D`.
+
     Raw values are mapped through ``v * scl_slope + scl_inter`` when
     ``scl_slope`` is finite and nonzero (slope 0 means "no scaling" per the
     NIfTI-1 convention; a NaN or infinite slope is read the same way, as
-    nibabel does). Axes that the sform flips are flipped back, so the data
-    are RAS+. ``kind`` overrides the default inference of PET_SUV for
-    float datatypes and LABEL for integer datatypes.
+    nibabel does). Integer files with slope 1 and intercept 0 keep their
+    integer values without a float detour. Axes that the sform flips are
+    flipped back, so the data are RAS+. ``kind`` overrides the default
+    inference of PET_SUV for float datatypes and LABEL for integer
+    datatypes. ``source`` names the bytes in error messages.
     """
-    buf = _read_bytes(path)
-    header = parse_header(buf)
-
     nx, ny, nz = header.shape
     nvox = nx * ny * nz
     base, _ = SUPPORTED_DATATYPES[header.datatype_code]
@@ -224,17 +232,22 @@ def read_volume(path, kind: VolumeKind | None = None) -> Volume3D:
         raise MalformedHeader(f"vox_offset {offset} points inside the header or its extension flag")
     if len(buf) < offset + nvox * dt.itemsize:
         raise TruncatedData(
-            f"{path}: need {offset + nvox * dt.itemsize} bytes for shape {header.shape}, got {len(buf)}"
+            f"{source}: need {offset + nvox * dt.itemsize} bytes for shape {header.shape}, got {len(buf)}"
         )
 
     flat = np.frombuffer(buf, dtype=dt, count=nvox, offset=offset)
     data = np.flip(flat.reshape((nx, ny, nz), order="F"), header.flipped_axes)
-    if math.isfinite(header.scl_slope) and header.scl_slope != 0.0:
-        data = data.astype(np.float64) * header.scl_slope + header.scl_inter
+    slope, inter = header.scl_slope, header.scl_inter
+    identity = dt.kind in "iu" and slope == 1.0 and inter == 0.0
+    if math.isfinite(slope) and slope != 0.0 and not identity:
+        data = data.astype(np.float64) * slope + inter
 
     if kind is None:
         kind = _infer_kind(header.datatype_code)
-    return Volume3D(np.ascontiguousarray(data), header.spacing, kind)
+    try:
+        return Volume3D(np.ascontiguousarray(data), header.spacing, kind)
+    except ValidationError as exc:  # e.g. negative or fractional values in a LABEL file
+        raise IoFailure(f"{source}: cannot read as {kind.name}: {exc}") from exc
 
 
 def _file_dtype_for(vol: Volume3D, dtype: str | None) -> int:
@@ -299,17 +312,4 @@ def write_volume(vol: Volume3D, path, byteorder: str = "<", dtype: str | None = 
     payload = header + b"\x00\x00\x00\x00" + np.ascontiguousarray(vol.data).astype(dt).tobytes(order="F")
     if str(path).endswith(".gz"):
         payload = gzip.compress(payload, compresslevel=6, mtime=0)
-
-    path = Path(path)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    atomic_write(path, payload)

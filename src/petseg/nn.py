@@ -9,8 +9,6 @@ is realized as an im2col gather plus one matrix product per layer.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -18,6 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import IoFailure, ShapeError
+from .manifest import atomic_write
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +539,8 @@ def save_model(manifest_path, params: dict[str, np.ndarray], specs, seed: int | 
     }
     if extra:
         manifest["extra"] = extra
-    try:
-        _atomic_write(blob_path, b"".join(chunks))
-        _atomic_write(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
-    except OSError as exc:
-        raise IoFailure(f"cannot write model to {manifest_path}: {exc}") from exc
+    atomic_write(blob_path, b"".join(chunks))
+    atomic_write(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
 def load_model(manifest_path):
@@ -565,15 +561,3 @@ def load_model(manifest_path):
         params[t["name"]] = arr.reshape(shape).astype(np.float64)
     specs = tuple(spec_from_dict(d) for d in manifest["architecture"])
     return params, specs, manifest
-
-
-def _atomic_write(path: Path, payload: bytes):
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise

@@ -1,6 +1,6 @@
 """Tracer-routed ensemble inference with test-time augmentation.
 
-A Predictor is any object with ``name``, ``target_spacing`` and a
+A Predictor is any object with a ``name`` and a
 ``predict(stack) -> Volume3D`` method returning per-voxel probabilities on
 the stack's grid. Two backends ship here: a desk-scale SUV-threshold
 predictor and a subprocess adapter speaking a file contract (four channel
@@ -96,7 +96,6 @@ class Predictor:
     """Base segmentation backend; subclasses implement ``predict``."""
 
     name: str = "predictor"
-    target_spacing: tuple[float, float, float] = (3.3, 3.3, 3.3)
 
     def predict(self, stack: ChannelStack) -> Volume3D:
         raise NotImplementedError
@@ -107,14 +106,12 @@ class SuvThresholdPredictor(Predictor):
     supplied organ masks. Exercises the full orchestration path without
     any trained weights."""
 
-    def __init__(self, cap: float = 20.0, organ_masks=None, name: str = "suv_threshold",
-                 target_spacing=(3.3, 3.3, 3.3)):
+    def __init__(self, cap: float = 20.0, organ_masks=None, name: str = "suv_threshold"):
         if cap <= 0:
             raise ValidationError(f"cap must be positive, got {cap}")
         self.cap = cap
         self.organ_masks = tuple(organ_masks) if organ_masks else ()
         self.name = name
-        self.target_spacing = tuple(float(s) for s in target_spacing)
 
     def predict(self, stack: ChannelStack) -> Volume3D:
         prob = np.clip(stack.pet_clipped.data / self.cap, 0.0, 1.0)
@@ -130,7 +127,9 @@ class ExternalPredictor(Predictor):
     For each call the stack's four channels are written as uncompressed
     ``.nii`` files and a request JSON {case_id, channel_paths,
     target_spacing, output_path} is passed as the process's single
-    argument. A nonzero exit or missing output raises PredictorFailure.
+    argument. ``target_spacing`` names the grid the backend should segment
+    on; the orchestrator itself never resamples. A nonzero exit or missing
+    output raises PredictorFailure.
     """
 
     def __init__(self, command, name: str | None = None, target_spacing=(3.3, 3.3, 3.3),

@@ -158,18 +158,27 @@ def random_phantom_spec(style: TracerStyle, seed: int) -> PhantomSpec:
     return replace(spec, hotspots=_random_lesions(spec, rng))
 
 
+def synth_cases(n: int, seed: int = 0, mip_spacing=MIP_SPACING, out_size: int = MIP_SIZE,
+                cap: float = SUV_CAP):
+    """Yield ``(labeled_mip, pet, ct, lesion)`` for cases 0..n-1 of a corpus.
+
+    Even cases are FDG-like and odd cases PSMA-like; case ``i`` draws its
+    phantom from child ``i`` of ``seed`` and is named ``synth_{i:04d}``.
+    The MIP goes through the real preprocessing path.
+    """
+    for i in range(n):
+        style = TracerStyle.FDG_LIKE if i % 2 == 0 else TracerStyle.PSMA_LIKE
+        item_seed = int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0])
+        spec = random_phantom_spec(style, item_seed)
+        pet, ct, lesion = make_phantom(spec)
+        mip = discriminator_mip(pet, spacing=mip_spacing, out_size=out_size, cap=cap)
+        label = 0 if style is TracerStyle.FDG_LIKE else 1
+        yield LabeledMip(mip, label, f"synth_{i:04d}"), pet, ct, lesion
+
+
 def make_mip_dataset(n: int, seed: int = 0, mip_spacing=MIP_SPACING, out_size: int = MIP_SIZE,
                      cap: float = SUV_CAP) -> list[LabeledMip]:
     """Balanced FDG/PSMA synthetic MIPs through the real preprocessing path."""
     if n < 2:
         raise ValidationError(f"need at least 2 samples, got {n}")
-    mips = []
-    for i in range(n):
-        style = TracerStyle.FDG_LIKE if i % 2 == 0 else TracerStyle.PSMA_LIKE
-        item_seed = int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0])
-        spec = random_phantom_spec(style, item_seed)
-        pet, _, _ = make_phantom(spec)
-        mip = discriminator_mip(pet, spacing=mip_spacing, out_size=out_size, cap=cap)
-        label = 0 if style is TracerStyle.FDG_LIKE else 1
-        mips.append(LabeledMip(mip, label, f"synth_{i:04d}"))
-    return mips
+    return [mip for mip, _, _, _ in synth_cases(n, seed, mip_spacing, out_size, cap)]

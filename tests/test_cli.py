@@ -1,11 +1,15 @@
+import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
 from petseg import cli, nifti
-from petseg.discriminator import DiscriminatorModel
-from petseg.synthdata import Hotspot, PhantomSpec, TracerStyle, make_phantom
+from petseg.discriminator import DiscriminatorModel, TrainConfig, save_mip_dataset
+from petseg.errors import IoFailure
+from petseg.manifest import write_run_manifest
+from petseg.synthdata import Hotspot, PhantomSpec, TracerStyle, make_mip_dataset, make_phantom
 from petseg.volume import Volume3D, VolumeKind
 
 
@@ -199,6 +203,47 @@ class TestFuseEvaluate:
         assert lines[-1].startswith("mean,1.000000,2")
 
 
+def write_mask_dirs(tmp_path, names=("a.nii.gz", "b.nii.gz", "c.nii.gz")):
+    pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+    pred_dir.mkdir()
+    gt_dir.mkdir()
+    rng = np.random.default_rng(9)
+    for name in names:
+        for d in (pred_dir, gt_dir):
+            data = (rng.random((10, 9, 8)) < 0.3).astype(np.int32)
+            nifti.write_volume(Volume3D(data, (2.0, 2.0, 2.0), VolumeKind.LABEL), d / name)
+    return pred_dir, gt_dir
+
+
+class TestEvaluateJobsAndUnmatched:
+    def evaluate(self, pred_dir, gt_dir, out, *extra):
+        return cli.main(["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir),
+                         "--out", str(out), *extra])
+
+    def test_jobs_2_writes_the_jobs_1_csv(self, tmp_path):
+        pred_dir, gt_dir = write_mask_dirs(tmp_path)
+        assert self.evaluate(pred_dir, gt_dir, tmp_path / "one.csv", "--jobs", "1") == 0
+        assert self.evaluate(pred_dir, gt_dir, tmp_path / "two.csv", "--jobs", "2") == 0
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+        assert len((tmp_path / "one.csv").read_text().splitlines()) == 5  # header + 3 + mean
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_1_is_a_usage_error(self, tmp_path, jobs):
+        pred_dir, gt_dir = write_mask_dirs(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            self.evaluate(pred_dir, gt_dir, tmp_path / "m.csv", "--jobs", jobs)
+        assert err.value.code == 1
+
+    def test_unmatched_files_are_reported(self, tmp_path, capsys):
+        pred_dir, gt_dir = write_mask_dirs(tmp_path)
+        (pred_dir / "a.nii.gz").rename(pred_dir / "a.nii")  # same case, other suffix
+        assert self.evaluate(pred_dir, gt_dir, tmp_path / "m.csv") == 0
+        assert "2 unmatched files skipped" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
+        assert manifest["result"]["unmatched"] == {"pred": ["a.nii"], "gt": ["a.nii.gz"]}
+        assert len((tmp_path / "m.csv").read_text().splitlines()) == 4  # header + b, c + mean
+
+
 class TestRunEndToEnd:
     def run_once(self, tmp_path, out_dir):
         out_dir.mkdir(exist_ok=True)
@@ -331,3 +376,79 @@ class TestErrorsAndHelp:
         out = capsys.readouterr().out
         for token in expected:
             assert token in out, f"{token} missing from {argv[0]} help"
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    corpus = tmp_path_factory.mktemp("corpus")
+    assert cli.main(["synth", "--n", "4", "--seed", "3", "--out-dir", str(corpus)]) == 0
+    return corpus / "mip_manifest.json"
+
+
+# one non-default value per TrainConfig field, each cheap to train with
+NON_DEFAULT_TRAIN = {"lr": 0.003, "max_epochs": 2, "patience": 3, "batch_size": 2,
+                     "val_fraction": 0.5, "weight_decay": 0.02, "seed": 5}
+
+
+class TestSinglePaths:
+    def test_synth_writes_what_make_mip_dataset_saves(self, tmp_path):
+        assert cli.main(["synth", "--n", "6", "--seed", "42", "--out-dir", str(tmp_path / "cli")]) == 0
+        save_mip_dataset(tmp_path / "lib", make_mip_dataset(6, 42))
+        names = sorted(p.name for p in (tmp_path / "lib").iterdir())
+        assert len(names) == 7  # six MIPs + mip_manifest.json
+        for name in names:
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes(), name
+
+    def test_synth_has_no_jobs_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["synth", "--n", "2", "--out-dir", str(tmp_path), "--jobs", "2"])
+        assert err.value.code == 1
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainConfig)])
+    def test_every_train_config_field_has_a_flag(self, tmp_path, small_corpus, field):
+        value = NON_DEFAULT_TRAIN[field]
+        assert value != getattr(TrainConfig(), field)
+        flag = ["--" + field.replace("_", "-"), str(value)]
+        common = ["--manifest", str(small_corpus), "--max-epochs", "1", *flag]
+        assert cli.main(["train-disc", *common, "--out-model", str(tmp_path / "m.json")]) == 0
+        assert cli.main(["cv-disc", *common, "--k", "2", "--out", str(tmp_path / "cv.csv")]) == 0
+        for out in ("m.json", "cv.csv"):
+            config = json.loads((tmp_path / f"{out}.manifest.json").read_text())["config"]
+            assert config[field] == value, out
+
+    @pytest.mark.parametrize("writer", ["volume", "run_manifest", "model"])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch, writer):
+        def write(variant):
+            if writer == "volume":
+                nifti.write_volume(Volume3D(np.full((2, 2, 2), float(variant)), (1, 1, 1)),
+                                   tmp_path / "v.nii.gz")
+            elif writer == "run_manifest":
+                write_run_manifest(tmp_path / "out.csv", "test", {"variant": variant})
+            else:
+                DiscriminatorModel.fresh(seed=variant).save(tmp_path / "m.json")
+
+        write(0)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def no_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", no_replace)
+        with pytest.raises(IoFailure):
+            write(1)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_inspect_decompresses_once(self, tmp_path, monkeypatch, capsys):
+        nifti.write_volume(Volume3D(np.ones((3, 3, 3)), (1, 1, 1)), tmp_path / "v.nii.gz")
+        calls = []
+        decompress = nifti.gzip.decompress
+
+        def counting(data):
+            calls.append(len(data))
+            return decompress(data)
+
+        monkeypatch.setattr(nifti.gzip, "decompress", counting)
+        assert cli.main(["inspect", str(tmp_path / "v.nii.gz")]) == 0
+        assert len(calls) == 1
+        assert "(3, 3, 3)" in capsys.readouterr().out

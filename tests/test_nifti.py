@@ -388,3 +388,80 @@ class TestOrientation:
         patch_floats(path, at, value)
         with pytest.raises(MalformedHeader):
             nifti.read_volume(path)
+
+
+class TestIntegerIdentityScaling:
+    """uint8/int16 files with slope 1 and intercept 0 skip the float64 path."""
+
+    def label_file(self, path, shape=(6, 7, 8), vmax=200):
+        values = np.random.default_rng(4).integers(0, vmax + 1, size=shape).astype(np.int32)
+        nifti.write_volume(Volume3D(values, (1.0, 2.0, 3.0), VolumeKind.LABEL), path)
+        return values
+
+    @pytest.mark.parametrize("vmax", [200, 3000])  # uint8, int16
+    def test_reads_like_the_float_path(self, tmp_path, vmax):
+        path = tmp_path / "labels.nii.gz"
+        values = self.label_file(path, vmax=vmax)
+        vol = nifti.read_volume(path)
+        # what the float64 path gives: rint back to int32, C order
+        expected = np.ascontiguousarray(np.rint(values.astype(np.float64) * 1.0 + 0.0).astype(np.int32))
+        assert vol.kind is VolumeKind.LABEL
+        assert vol.data.dtype == expected.dtype and vol.data.flags.c_contiguous
+        assert vol.data.tobytes() == expected.tobytes()
+        as_pet = nifti.read_volume(path, kind=VolumeKind.PET_SUV)
+        assert as_pet.data.dtype == np.float64
+        assert np.array_equal(as_pet.data, values)
+
+    @pytest.mark.parametrize("datatype, slope, inter", [(2, 2.0, 0.0), (4, 1.0, 5.0)])
+    def test_other_scalings_still_apply(self, tmp_path, datatype, slope, inter):
+        values = np.arange(64).reshape(4, 4, 4)
+        path = raw_file(tmp_path, datatype=datatype, scl_slope=slope, scl_inter=inter, values=values)
+        assert np.array_equal(nifti.read_volume(path).data, values * slope + inter)
+
+    def test_mask_read_peak_memory(self, tmp_path):
+        import tracemalloc
+
+        path = tmp_path / "mask.nii.gz"
+        shape = (64, 64, 80)
+        values = self.label_file(path, shape=shape, vmax=1)
+        tracemalloc.start()
+        try:
+            vol = nifti.read_volume(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(vol.data, values)
+        int32_volume = values.size * 4
+        # file bytes + uint8 grid + int32 result; the float64 path took > 5
+        assert peak <= 2.0 * int32_volume, peak / int32_volume
+
+
+class TestByteMutation:
+    """Random bytes of a valid file, header and data alike, are overwritten:
+    the reader either raises an ``IoFailure`` or returns a volume with a
+    finite, positive spacing. Any other exception is a bug."""
+
+    @staticmethod
+    def base_files():
+        rng = np.random.default_rng(5)
+        pet = Volume3D(rng.random((2, 3, 4)) * 10.0, (1.0, 2.0, 3.0))
+        labels = Volume3D(rng.integers(0, 3, size=(3, 2, 4)), (2.0, 2.0, 2.0), VolumeKind.LABEL)
+        wide = Volume3D(rng.integers(0, 1000, size=(2, 2, 5)), (1.5, 1.5, 1.5), VolumeKind.LABEL)
+        return [pet, labels, wide]
+
+    @settings(max_examples=400, deadline=None)
+    @given(which=st.integers(0, 2), byteorder=st.sampled_from("<>"),
+           edits=st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 255)),
+                          min_size=1, max_size=8))
+    def test_mutated_bytes_raise_io_failure_or_read(self, tmp_path_factory, which, byteorder, edits):
+        path = tmp_path_factory.getbasetemp() / "mutated.nii"
+        nifti.write_volume(self.base_files()[which], path, byteorder=byteorder)
+        raw = bytearray(path.read_bytes())
+        for at, value in edits:
+            raw[at % len(raw)] = value
+        path.write_bytes(bytes(raw))
+        try:
+            vol = nifti.read_volume(path)
+        except IoFailure:
+            return
+        assert all(np.isfinite(s) and s > 0 for s in vol.spacing)

@@ -44,7 +44,6 @@ class ConstantPredictor(Predictor):
     def __init__(self, value, name="constant"):
         self.value = value
         self.name = name
-        self.target_spacing = (3.3, 3.3, 3.3)
 
     def predict(self, stack):
         return Volume3D(np.full(stack.shape, self.value), stack.spacing,
