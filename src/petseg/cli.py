@@ -15,6 +15,7 @@ import dataclasses
 import json
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from .discriminator import (
 from .errors import IoFailure, PetsegError, PredictorFailure, ValidationError
 from .fusion import load_organ_manifest, merge_organ_masks
 from .manifest import write_run_manifest
-from .metrics import evaluate_case, write_metrics_csv
+from .metrics import case_id_of, evaluate_case, write_metrics_csv
 from .orchestrator import (
     ALL_FLIPS,
     EnsembleConfig,
@@ -360,8 +361,12 @@ def cmd_evaluate(args) -> int:
     unmatched = {"pred": sorted(set(pred_files) - set(gt_files)),
                  "gt": sorted(set(gt_files) - set(pred_files))}
 
+    # a.nii and a.nii.gz share a case id; such pairs keep their file names
+    id_counts = Counter(map(case_id_of, common))
+
     def evaluate(name):
-        return evaluate_case(pred_files[name], gt_files[name], case_id=name.split(".")[0],
+        case_id = case_id_of(name) if id_counts[case_id_of(name)] == 1 else name
+        return evaluate_case(pred_files[name], gt_files[name], case_id,
                              connectivity=args.connectivity, lesion_label=args.lesion_label)
 
     # threads overlap: gunzip and the labeller's numpy work release the GIL

@@ -182,12 +182,21 @@ def compute_case_metrics(pred: BinaryMask, gt: BinaryMask, case_id: str = "case"
     )
 
 
+def case_id_of(path) -> str:
+    """File name without its ``.nii.gz`` or ``.nii`` suffix; other dots stay."""
+    name = Path(path).name
+    for suffix in (".nii.gz", ".nii"):
+        if name.endswith(suffix):
+            return name[: -len(suffix)]
+    return name
+
+
 def evaluate_case(pred_path, gt_path, case_id: str | None = None, connectivity: int = 26,
                   lesion_label: int | None = None) -> CaseMetrics:
     """Load two label volumes and compute all per-case metrics.
 
     Foreground is ``voxel == lesion_label`` when given, else any nonzero
-    voxel.
+    voxel. ``case_id`` defaults to ``case_id_of(pred_path)``.
     """
     pred_vol = nifti.read_volume(pred_path, kind=VolumeKind.LABEL)
     gt_vol = nifti.read_volume(gt_path, kind=VolumeKind.LABEL)
@@ -199,7 +208,7 @@ def evaluate_case(pred_path, gt_path, case_id: str | None = None, connectivity: 
         pred = BinaryMask.from_label_volume(pred_vol, lesion_label)
         gt = BinaryMask.from_label_volume(gt_vol, lesion_label)
     if case_id is None:
-        case_id = Path(pred_path).name.split(".")[0]
+        case_id = case_id_of(pred_path)
     return compute_case_metrics(pred, gt, case_id, connectivity)
 
 

@@ -10,10 +10,16 @@ the path named in the request and exits 0).
 TTA applies axis flips to every channel, runs the predictor, undoes the
 flip on the output and averages. Flipped channels and un-flipped outputs
 are ``np.flip`` views, never copies, and predictors see them read-only.
-Each fold adds its un-flipped outputs into one running sum in canonical
-flip order, and the fold means are summed in fold order, so the result
-does not depend on configuration order and is bitwise equal to the mean
-of the stacked outputs.
+The (fold, flip) calls run fold-major in canonical flip order, at most
+``_IN_FLIGHT`` at once on worker threads (numpy releases the GIL in its
+array loops), so ``predict`` may run on two threads at once and must not
+mutate shared state. If a fold predictor has ``concurrent_calls``
+false (``ExternalPredictor``), the calls run one at a time. The calling
+thread takes the results in task order: each fold adds its un-flipped
+outputs into one running sum in canonical flip order, and the fold means
+are summed in fold order, so the result does not depend on configuration
+order or thread timing and is bitwise equal to the mean of the stacked
+outputs.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ import subprocess
 import tempfile
 import time
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,6 +49,9 @@ from .volume import BinaryMask, Volume3D, VolumeKind, require_same_grid
 
 ALL_FLIPS = ("identity", "x", "y", "z", "xy", "xz", "yz", "xyz")
 _AXIS_OF = {"x": 0, "y": 1, "z": 2}
+# predictor calls in flight; a third gained nothing on 2 cores and held one
+# more volume
+_IN_FLIGHT = 2
 
 
 def parse_flip(name: str) -> tuple[int, ...]:
@@ -93,9 +104,16 @@ def _read_only(stack: ChannelStack) -> ChannelStack:
 
 
 class Predictor:
-    """Base segmentation backend; subclasses implement ``predict``."""
+    """Base segmentation backend; subclasses implement ``predict``.
+
+    ``predict`` gets read-only views and, while ``concurrent_calls`` is
+    true, may run on two threads at once (two flips of one fold, or the
+    last flip of one fold and the first of the next), so it must not
+    mutate state shared between calls.
+    """
 
     name: str = "predictor"
+    concurrent_calls: bool = True
 
     def predict(self, stack: ChannelStack) -> Volume3D:
         raise NotImplementedError
@@ -114,7 +132,8 @@ class SuvThresholdPredictor(Predictor):
         self.name = name
 
     def predict(self, stack: ChannelStack) -> Volume3D:
-        prob = np.clip(stack.pet_clipped.data / self.cap, 0.0, 1.0)
+        prob = np.divide(stack.pet_clipped.data, self.cap)
+        np.clip(prob, 0.0, 1.0, out=prob)
         for mask in self.organ_masks:
             require_same_grid(stack.pet_clipped, mask, "organ mask / stack")
             prob[mask.mask] = 0.0
@@ -129,8 +148,12 @@ class ExternalPredictor(Predictor):
     target_spacing, output_path} is passed as the process's single
     argument. ``target_spacing`` names the grid the backend should segment
     on; the orchestrator itself never resamples. A nonzero exit or missing
-    output raises PredictorFailure.
+    output raises PredictorFailure. The ensemble runs its calls one at a
+    time.
     """
+
+    # each call starts a model process; two at once is unmeasured
+    concurrent_calls = False
 
     def __init__(self, command, name: str | None = None, target_spacing=(3.3, 3.3, 3.3),
                  case_id: str = "case", workdir=None, timeout: float | None = None):
@@ -214,7 +237,9 @@ def make_suv_ensemble(n_folds: int = 6, cap: float = 20.0, **kwargs) -> Ensemble
     return EnsembleConfig(folds=folds, **kwargs)
 
 
-def _run_predictor(predictor: Predictor, stack: ChannelStack, flip: str, fold: int, on_invoke):
+def _run_predictor(predictor: Predictor, stack: ChannelStack, flip: str, fold: int):
+    """One checked call on the flipped stack: the un-flipped output and its
+    Invocation. ``stack`` must already be read-only."""
     flipped = flip_stack(stack, flip)
     t0 = time.perf_counter()
     try:
@@ -229,34 +254,64 @@ def _run_predictor(predictor: Predictor, stack: ChannelStack, flip: str, fold: i
     # NaN compares false, so only this form of the range check rejects it
     if out.data.size and not (out.data.min() >= 0.0 and out.data.max() <= 1.0):
         raise PredictorFailure(predictor.name, "output probabilities outside [0, 1] or NaN")
-    if on_invoke is not None:
-        on_invoke(Invocation(predictor.name, fold, flip, wall))
-    return flip_volume(out, flip), wall  # flips are involutions
+    return flip_volume(out, flip), Invocation(predictor.name, fold, flip, wall)  # flips are involutions
 
 
-def _flip_mean(predictor: Predictor, stack: ChannelStack, flips, fold: int, on_invoke,
-               identity_out: Volume3D | None = None) -> np.ndarray:
-    """Running-sum mean of the un-flipped outputs over canonical ``flips``.
+def _ensemble_mean(folds: dict, stack: ChannelStack, flips, on_invoke, first=()) -> np.ndarray:
+    """Mean over ``folds`` ({fold index: predictor}) of each fold's mean
+    over the canonical ``flips``.
 
-    ``stack`` must already be read-only. ``identity_out`` is a prediction
-    of the identity flip (always first) made earlier, used instead of a
-    new call. Adding in flip order and then dividing is exactly what
-    ``np.mean(np.stack(outputs), axis=0)`` computes, bit for bit.
+    The (fold, flip) tasks run fold-major on a thread pool, at most
+    ``_IN_FLIGHT`` at once, or one at a time if any fold predictor has
+    ``concurrent_calls`` false. This thread takes the results in task
+    order, calls ``on_invoke``, adds each un-flipped output into its fold's running sum
+    and drops it before the next task is submitted. Fold means are added
+    in fold order, which is exactly what ``np.mean`` over stacked outputs
+    and then stacked fold means computes, bit for bit, however the calls
+    interleave. ``stack`` must already be read-only. ``first`` may hold
+    the result of the first task (the first fold's identity), made
+    earlier; it is moved out of that list so it is freed once added.
     """
-    if identity_out is None:
-        identity_out = _run_predictor(predictor, stack, flips[0], fold, on_invoke)[0]
-    # a copy: the predictor may hand back a buffer it still owns
-    acc = np.array(identity_out.data, dtype=np.float64, order="C")
-    for flip in flips[1:]:
-        acc += _run_predictor(predictor, stack, flip, fold, on_invoke)[0].data
-    acc /= len(flips)
-    return acc
+    tasks = [(fold, flip) for fold in folds for flip in flips]
+    serial = any(not getattr(p, "concurrent_calls", True) for p in folds.values())
+    width = 1 if serial else _IN_FLIGHT
+    total = acc = None
+    with ThreadPoolExecutor(max_workers=width, thread_name_prefix="petseg-ensemble") as pool:
+        def submit(i):
+            fold, flip = tasks[i]
+            return pool.submit(_run_predictor, folds[fold], stack, flip, fold).result
+
+        # getters of the results of tasks i, i + 1, ...
+        pending = deque([lambda made=first.pop(): made] if first else [])
+        for i in range(len(pending), min(width, len(tasks))):
+            pending.append(submit(i))
+        for i, (fold, flip) in enumerate(tasks):
+            out, invocation = pending.popleft()()
+            if on_invoke is not None:
+                on_invoke(invocation)
+            if flip == flips[0]:
+                # a copy: the predictor may hand back a buffer it still owns
+                acc = np.array(out.data, dtype=np.float64, order="C")
+            else:
+                acc += out.data
+            del out  # released before the next call allocates
+            if flip == flips[-1]:
+                acc /= len(flips)
+                if total is None:
+                    total = acc
+                else:
+                    total += acc
+                acc = None
+            if i + width < len(tasks):
+                pending.append(submit(i + width))
+    total /= len(folds)
+    return total
 
 
 def tta_predict(predictor: Predictor, stack: ChannelStack, flips, fold: int = 0,
                 on_invoke=None) -> Volume3D:
     """Mean prediction over axis flips (flip, predict, unflip, average)."""
-    mean = _flip_mean(predictor, _read_only(stack), _canonical_flips(flips), fold, on_invoke)
+    mean = _ensemble_mean({fold: predictor}, _read_only(stack), _canonical_flips(flips), on_invoke)
     return Volume3D(mean, stack.spacing, VolumeKind.PROBABILITY)
 
 
@@ -272,18 +327,14 @@ def ensemble_predict(cfg: EnsembleConfig, stack: ChannelStack, on_invoke=None) -
     flips = select_flips(cfg, stack.voxel_count)
     stack = _read_only(stack)
 
-    first_result = None
+    first = []
     if cfg.soft_deadline and len(flips) > len(cfg.reduced_flips):
-        first_result, wall = _run_predictor(cfg.folds[0], stack, "identity", 0, on_invoke)
-        projected = wall * len(cfg.folds) * len(flips)
+        first.append(_run_predictor(cfg.folds[0], stack, "identity", 0))
+        projected = first[0][1].wall_time_s * len(cfg.folds) * len(flips)
         if projected > cfg.time_budget_s:
             flips = cfg.reduced_flips
 
-    # fold means summed in fold order, then divided, as np.mean over a stack
-    total = _flip_mean(cfg.folds[0], stack, flips, 0, on_invoke, first_result)
-    for fold in range(1, len(cfg.folds)):
-        total += _flip_mean(cfg.folds[fold], stack, flips, fold, on_invoke)
-    total /= len(cfg.folds)
+    total = _ensemble_mean(dict(enumerate(cfg.folds)), stack, flips, on_invoke, first)
     return Volume3D(total, stack.spacing, VolumeKind.PROBABILITY)
 
 

@@ -55,7 +55,14 @@ class Volume3D:
         if self.kind is VolumeKind.LABEL:
             if not np.issubdtype(data.dtype, np.integer):
                 float_data = data
-                data = np.rint(float_data).astype(np.int32)
+                rounded = np.rint(float_data)
+                # before the cast, which warns on NaN, inf and out-of-range
+                # values; NaN fails both comparisons, and the float bounds
+                # are exact in float32 too
+                if rounded.size and not (rounded.min() >= -2.0**31 and rounded.max() < 2.0**31):
+                    raise ValidationError("LABEL volume values must be finite and fit in int32")
+                data = rounded.astype(np.int32)
+                del rounded
                 if not np.array_equal(data, float_data):
                     raise ValidationError("LABEL volume values must be integers")
             if data.size and data.min() < 0:

@@ -243,6 +243,18 @@ class TestEvaluateJobsAndUnmatched:
         assert manifest["result"]["unmatched"] == {"pred": ["a.nii"], "gt": ["a.nii.gz"]}
         assert len((tmp_path / "m.csv").read_text().splitlines()) == 4  # header + b, c + mean
 
+    def test_dotted_names_keep_distinct_case_ids(self, tmp_path):
+        pred_dir, gt_dir = write_mask_dirs(tmp_path, names=("case.1.nii.gz", "case.2.nii"))
+        assert self.evaluate(pred_dir, gt_dir, tmp_path / "m.csv") == 0
+        rows = (tmp_path / "m.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:3]] == ["case.1", "case.2"]
+
+    def test_nii_and_nii_gz_of_one_name_keep_distinct_case_ids(self, tmp_path):
+        pred_dir, gt_dir = write_mask_dirs(tmp_path, names=("a.nii", "a.nii.gz", "b.nii.gz"))
+        assert self.evaluate(pred_dir, gt_dir, tmp_path / "m.csv") == 0
+        rows = (tmp_path / "m.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:4]] == ["a.nii", "a.nii.gz", "b"]
+
 
 class TestRunEndToEnd:
     def run_once(self, tmp_path, out_dir):

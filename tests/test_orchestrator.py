@@ -1,6 +1,8 @@
 import json
 import sys
 import textwrap
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -255,6 +257,23 @@ class TestEnsemblePredict:
             tracemalloc.stop()
         assert peak <= 8 * volume_bytes, f"peak {peak / volume_bytes:.1f} volume-equivalents"
 
+    @pytest.mark.parametrize("soft_deadline", [False, True])
+    def test_peak_memory_at_most_4_5_volumes(self, soft_deadline):
+        # total + fold sum + two calls in flight, each one output volume;
+        # the soft deadline's probe output is freed once it is added
+        stack = make_stack(np.random.default_rng(0), shape=(64, 64, 48))
+        cfg = make_suv_ensemble(n_folds=6, soft_deadline=soft_deadline)
+        assert len(select_flips(cfg, stack.voxel_count)) == 8
+        volume_bytes = stack.voxel_count * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ensemble_predict(cfg, stack)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * volume_bytes, f"peak {peak / volume_bytes:.1f} volume-equivalents"
+
     def test_reduced_must_be_subset(self):
         with pytest.raises(ValidationError):
             EnsembleConfig(folds=(ConstantPredictor(0.1),), tta_flips=("identity", "x"),
@@ -294,6 +313,68 @@ class TestStackedMeanOracle:
         stack = make_stack(rng, shape=(7, 6, 5))
         out = tta_predict(IndexPredictor(0), stack, tuple(reversed(ALL_FLIPS)))
         assert np.array_equal(out.data, index_oracle(stack, 1, ALL_FLIPS))
+
+
+def flip_of(stack):
+    """Name of the flip a predictor's input was made with, from its strides."""
+    axes = [a for a, step in enumerate(stack.pet_clipped.data.strides) if step < 0]
+    return "".join("xyz"[a] for a in axes) or "identity"
+
+
+def ensemble_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("petseg-ensemble")]
+
+
+class TestPipeline:
+    """Two predictor calls in flight, results taken in canonical order."""
+
+    def test_two_calls_overlap(self, rng):
+        barrier = threading.Barrier(2, timeout=5)
+
+        class Rendezvous(SuvThresholdPredictor):
+            def predict(self, stack):
+                barrier.wait()  # broken unless a second call is in flight
+                return super().predict(stack)
+
+        stack = make_stack(rng)
+        cfg = EnsembleConfig(folds=(Rendezvous(), Rendezvous()), tta_flips=("identity", "x"),
+                             reduced_flips=("identity",))
+        out = ensemble_predict(cfg, stack)
+        assert np.array_equal(out.data, SuvThresholdPredictor().predict(stack).data)
+
+    def test_out_of_order_finish_keeps_canonical_sum_and_log(self, rng):
+        finished = []
+
+        class Uneven(IndexPredictor):
+            def predict(self, stack):
+                flip = flip_of(stack)
+                time.sleep(0.03 if ALL_FLIPS.index(flip) % 2 == 0 else 0.0)
+                finished.append((self.fold, flip))
+                return super().predict(stack)
+
+        stack = make_stack(rng, shape=(7, 6, 5))
+        cfg = EnsembleConfig(folds=tuple(Uneven(f) for f in range(3)))
+        calls = []
+        out = ensemble_predict(cfg, stack, on_invoke=calls.append)
+        canonical = [(f, flip) for f in range(3) for flip in ALL_FLIPS]
+        assert finished != canonical  # the odd flips overtook the even ones
+        assert [(c.fold, c.flip) for c in calls] == canonical
+        assert np.array_equal(out.data, index_oracle(stack, 3, ALL_FLIPS))
+
+    def test_failure_raises_for_that_call_and_stops_the_workers(self, rng):
+        class FailsOnX(IndexPredictor):
+            def predict(self, stack):
+                if flip_of(stack) == "x":
+                    raise RuntimeError("backend crashed")
+                return super().predict(stack)
+
+        folds = (IndexPredictor(0), IndexPredictor(1), FailsOnX(2), IndexPredictor(3))
+        calls = []
+        with pytest.raises(PredictorFailure, match="index_f2.*backend crashed"):
+            ensemble_predict(EnsembleConfig(folds=folds), make_stack(rng), on_invoke=calls.append)
+        assert [(c.fold, c.flip) for c in calls] == [
+            (f, flip) for f in range(2) for flip in ALL_FLIPS] + [(2, "identity")]
+        assert ensemble_threads() == []
 
 
 class TestThresholdMask:
@@ -396,6 +477,23 @@ class TestExternalPredictor:
         pred = ExternalPredictor([sys.executable, str(script)], workdir=str(tmp_path))
         with pytest.raises(PredictorFailure):
             pred.predict(make_stack(rng, shape=(3, 3, 3)))
+
+    def test_ensemble_runs_backend_calls_one_at_a_time(self, tmp_path, rng):
+        busy = str(tmp_path / "busy")
+        script = tmp_path / "backend.py"
+        script.write_text(
+            # creating the file fails while another call holds it
+            f"import os, time\nfd = os.open({busy!r}, os.O_CREAT | os.O_EXCL)\ntime.sleep(0.2)\n"
+            + BACKEND_SCRIPT.format(src=".")
+            + f"os.close(fd)\nos.remove({busy!r})\n")
+        folds = tuple(ExternalPredictor([sys.executable, str(script)], name=f"toy_f{i}",
+                                        workdir=str(tmp_path)) for i in range(2))
+        cfg = EnsembleConfig(folds=folds, tta_flips=("identity", "x"), reduced_flips=("identity",))
+        stack = make_stack(rng, shape=(5, 4, 3))
+        calls = []
+        out = ensemble_predict(cfg, stack, on_invoke=calls.append)
+        assert len(calls) == 4
+        assert np.allclose(out.data, stack.pet_clipped.data / 20.0, atol=1e-7)
 
 
 class TestRoute:
