@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 usage error, 2 I/O error, 3 validation error,
 exit code (10 = FDG, 11 = PSMA) so shell pipelines can route without
 parsing. With ``--json``, errors are emitted as one JSON object on stderr.
 Configuration precedence is flags > config file (JSON) > built-in
-defaults.
+defaults; ``run`` reads each tracer's ``fdg``/``psma`` section between the
+file's top level and the flags.
 """
 
 from __future__ import annotations
@@ -39,10 +40,11 @@ from .fusion import load_organ_manifest, merge_organ_masks
 from .manifest import write_run_manifest
 from .metrics import case_id_of, evaluate_case, write_metrics_csv
 from .orchestrator import (
-    ALL_FLIPS,
+    N_FOLDS,
+    REDUCED_FLIPS,
     EnsembleConfig,
     ExternalPredictor,
-    SuvThresholdPredictor,
+    make_suv_ensemble,
     route,
 )
 from .preprocess import (
@@ -77,6 +79,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    def _get_help_string(self, action):  # a None default only marks an optional value
+        return action.help if action.default is None else super()._get_help_string(action)
 
 
 def _spacing_triple(text: str):
@@ -133,24 +140,44 @@ def _add_train_flags(p):
                        default=argparse.SUPPRESS, help=f"{_TRAIN_FLAG_HELP[f.name]} (default {f.default})")
 
 
-def _merge_train_config(args) -> TrainConfig:
+def _typed(key: str, value, default):
+    """``value`` as the type of ``default``: ints widen to float, and a
+    tuple or None default (``reduced_flips``) takes a list of strings."""
+    if isinstance(default, float) and type(value) is int:
+        value = float(value)
+    if default is None or isinstance(default, tuple):
+        if isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value):
+            return tuple(value)
+        expected = "a list of strings"
+    elif type(value) is type(default):
+        return value
+    else:
+        expected = type(default).__name__
+    raise ValidationError(f"config key {key!r} must be {expected}, got {value!r}")
+
+
+def _resolve(defaults: dict, sections: dict, args=None) -> dict:
+    """``defaults`` overridden by each of ``sections`` ({prefix: JSON
+    object}) in order, then by the flags set on ``args`` whose dest is a
+    key. Unknown keys and values not of their default's type raise
+    ValidationError naming the key."""
+    flags = {k: v for k, v in vars(args).items() if k in defaults} if args else {}
+    merged = dict(defaults)
+    for prefix, section in [*sections.items(), ("", flags)]:
+        if not isinstance(section, dict):
+            raise ValidationError(f"config section {prefix.rstrip('.')!r} must be a JSON object")
+        unknown = sorted(prefix + k for k in set(section) - set(defaults))
+        if unknown:
+            raise ValidationError(f"unknown config keys: {unknown}")
+        for key, value in section.items():
+            merged[key] = _typed(prefix + key, value, defaults[key])
+    return merged
+
+
+def _train_config(args) -> TrainConfig:
     """flags > config file > TrainConfig defaults."""
-    merged = dataclasses.asdict(TrainConfig())
-    file_cfg = _load_config_file(getattr(args, "config", None))
-    unknown = set(file_cfg) - set(merged)
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    merged.update(file_cfg)
-    for key in merged:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    return TrainConfig(**merged)
-
-
-def _print_json_error(exc: BaseException):
-    doc = {"error": type(exc).__name__, "message": str(exc)}
-    print(json.dumps(doc), file=sys.stderr)
+    file_cfg = _load_config_file(args.config)
+    return TrainConfig(**_resolve(dataclasses.asdict(TrainConfig()), {"": file_cfg}, args))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +294,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train_disc(args) -> int:
     t0 = time.perf_counter()
-    cfg = _merge_train_config(args)
+    cfg = _train_config(args)
     data = load_mip_dataset(args.manifest)
     train, val = train_val_split(data, cfg.val_fraction, np.random.default_rng(cfg.seed))
     model, history = train_fold(train, val, cfg)
@@ -291,7 +318,7 @@ def cmd_train_disc(args) -> int:
 
 def cmd_cv_disc(args) -> int:
     t0 = time.perf_counter()
-    cfg = _merge_train_config(args)
+    cfg = _train_config(args)
     data = load_mip_dataset(args.manifest)
     result = cross_validate(data, k=args.k, cfg=cfg)
     for i, acc in enumerate(result.fold_accuracies):
@@ -389,81 +416,51 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-_ENSEMBLE_KEYS = {
-    "folds", "backend", "tta_flips", "reduced_flips", "tta_reduction_threshold",
-    "time_budget_s", "decision_threshold", "soft_deadline",
+# run config keys: fold count and backend, then the EnsembleConfig policy
+_RUN_DEFAULTS = {
+    "folds": N_FOLDS,
+    "backend": {"kind": "suv_threshold"},
+    **{f.name: f.default for f in dataclasses.fields(EnsembleConfig) if f.name != "folds"},
 }
+_TRACER_SECTIONS = ("fdg", "psma")
 
 
 def _build_ensemble(cfg: dict, case_id: str) -> EnsembleConfig:
-    backend = cfg.get("backend", {"kind": "suv_threshold"})
-    n_folds = int(cfg.get("folds", 6))
+    """The EnsembleConfig of resolved run settings."""
+    policy = {k: v for k, v in cfg.items() if k not in ("folds", "backend")}
+    n_folds, backend = cfg["folds"], cfg["backend"]
     if n_folds < 1:
         raise ValidationError(f"folds must be >= 1, got {n_folds}")
-    if backend.get("kind", "suv_threshold") == "suv_threshold":
-        folds = tuple(
-            SuvThresholdPredictor(cap=float(backend.get("cap", SUV_CAP)), name=f"suv_threshold_f{i}")
-            for i in range(n_folds)
-        )
-    elif backend["kind"] == "external":
-        command = backend.get("command")
-        if not command:
+    kind = backend.get("kind", "suv_threshold")
+    if kind == "suv_threshold":
+        opts = _resolve({"kind": kind, "cap": SUV_CAP}, {"backend.": backend})
+        return make_suv_ensemble(n_folds, cap=opts["cap"], **policy)
+    if kind == "external":
+        opts = _resolve({"kind": kind, "command": (), "name": "external"}, {"backend.": backend})
+        if not opts["command"]:
             raise ValidationError("external backend needs a 'command' list")
-        folds = tuple(
-            ExternalPredictor(command, name=f"{backend.get('name', 'external')}_f{i}",
-                              case_id=case_id)
-            for i in range(n_folds)
-        )
-    else:
-        raise ValidationError(f"unknown backend kind {backend.get('kind')!r}")
-    tta_flips = tuple(cfg.get("tta_flips", ALL_FLIPS))
-    if "reduced_flips" in cfg:
-        reduced = tuple(cfg["reduced_flips"])
-    else:
-        reduced = tuple(f for f in ("identity", "z") if f in tta_flips)
-    return EnsembleConfig(
-        folds=folds,
-        tta_flips=tta_flips,
-        reduced_flips=reduced,
-        tta_reduction_threshold=int(cfg.get("tta_reduction_threshold", 40_000_000)),
-        time_budget_s=float(cfg.get("time_budget_s", 300.0)),
-        decision_threshold=float(cfg.get("decision_threshold", 0.5)),
-        soft_deadline=bool(cfg.get("soft_deadline", False)),
-    )
+        folds = [ExternalPredictor(opts["command"], name=f"{opts['name']}_f{i}", case_id=case_id)
+                 for i in range(n_folds)]
+        return EnsembleConfig(folds, **policy)
+    raise ValidationError(f"unknown backend kind {kind!r}")
 
 
 def cmd_run(args) -> int:
     t0 = time.perf_counter()
-    file_cfg = _load_config_file(args.config)
-    unknown = set(file_cfg) - _ENSEMBLE_KEYS - {"fdg", "psma", "window"}
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-
-    base = {k: v for k, v in file_cfg.items() if k in _ENSEMBLE_KEYS}
-    for key, flag in (
-        ("folds", args.folds),
-        ("tta_flips", args.tta),
-        ("reduced_flips", args.reduced_tta),
-        ("tta_reduction_threshold", args.tta_reduction_threshold),
-        ("time_budget_s", args.time_budget),
-        ("decision_threshold", args.threshold),
-    ):
-        if flag is not None:
-            base[key] = flag
-    if args.soft_deadline:
-        base["soft_deadline"] = True
-
-    cfg_fdg_dict = {**base, **file_cfg.get("fdg", {})}
-    cfg_psma_dict = {**base, **file_cfg.get("psma", {})}
-    cfg_fdg = _build_ensemble(cfg_fdg_dict, args.case_id)
-    cfg_psma = _build_ensemble(cfg_psma_dict, args.case_id)
-    window = WindowSpec(**file_cfg.get("window", {}))
+    doc = _load_config_file(args.config)
+    top = {k: v for k, v in doc.items() if k not in (*_TRACER_SECTIONS, "window")}
+    ensembles, settings = {}, {}
+    for tracer in _TRACER_SECTIONS:
+        cfg = _resolve(_RUN_DEFAULTS, {"": top, tracer + ".": doc.get(tracer, {})}, args)
+        ens = ensembles[tracer] = _build_ensemble(cfg, args.case_id)
+        settings[tracer] = {**cfg, "tta_flips": ens.tta_flips, "reduced_flips": ens.reduced_flips}
+    window = WindowSpec(**_resolve(dataclasses.asdict(WindowSpec()), {"window.": doc.get("window", {})}))
 
     ct = nifti.read_volume(args.ct, kind=VolumeKind.CT_HU)
     pet = nifti.read_volume(args.pet, kind=VolumeKind.PET_SUV)
     disc = DiscriminatorModel.load(args.disc_model)
 
-    result = route(ct, pet, disc, cfg_fdg, cfg_psma, window=window)
+    result = route(ct, pet, disc, ensembles["fdg"], ensembles["psma"], window=window)
 
     nifti.write_volume(result.mask.to_label_volume(), args.out)
     if args.out_prob:
@@ -473,8 +470,7 @@ def cmd_run(args) -> int:
         {"ct": str(args.ct), "pet": str(args.pet), "disc_model": str(args.disc_model),
          "out": str(args.out), "out_prob": str(args.out_prob) if args.out_prob else None,
          "case_id": args.case_id,
-         "fdg": cfg_fdg_dict, "psma": cfg_psma_dict,
-         "window": dataclasses.asdict(window)},
+         **settings, "window": dataclasses.asdict(window)},
         inputs=[args.ct, args.pet, args.disc_model],
         timings={**result.stage_timings,
                  "invocation_s": [round(i.wall_time_s, 6) for i in result.invocations]},
@@ -492,7 +488,7 @@ def cmd_run(args) -> int:
     )
     print(f"tracer={result.tracer.name} p={result.tracer_probability:.4f} "
           f"mask_voxels={result.mask.voxel_count} tta={','.join(result.tta_used)} "
-          f"wall={result.wall_time_s:.2f}s budget_exceeded={result.budget_exceeded}")
+          f"wall={result.stage_timings['total_s']:.2f}s budget_exceeded={result.budget_exceeded}")
     return EXIT_OK
 
 
@@ -500,14 +496,12 @@ def cmd_run(args) -> int:
 # parser assembly
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="petseg", description=__doc__,
-                     formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    parser = _Parser(prog="petseg", description=__doc__, formatter_class=_HelpFormatter)
     parser.add_argument("--version", action="version", version=f"petseg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text,
-                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p = sub.add_parser(name, help=help_text, formatter_class=_HelpFormatter)
         p.add_argument("--json", action="store_true", help="machine-readable errors on stderr")
         p.set_defaults(func=func)
         return p
@@ -594,21 +588,31 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None,
                    help="JSON ensemble config with optional fdg/psma/window sections")
     p.add_argument("--case-id", default="case", help="case id passed to external backends")
-    p.add_argument("--folds", type=int, default=None, help="fold predictors per ensemble (default 6)")
-    p.add_argument("--tta", type=_flip_list, default=None,
-                   help="comma list of flips (default all 8: identity,x,y,z,xy,xz,yz,xyz)")
-    p.add_argument("--reduced-tta", type=_flip_list, default=None,
-                   help="flip subset used above the voxel threshold (default identity,z)")
-    p.add_argument("--tta-reduction-threshold", type=int, default=None,
-                   help="voxel count above which reduced TTA applies (default 40000000)")
-    p.add_argument("--time-budget", type=float, default=None,
-                   help="soft per-case wall-clock budget in seconds (default 300)")
-    p.add_argument("--threshold", type=float, default=None,
-                   help="probability decision threshold (default 0.5)")
-    p.add_argument("--soft-deadline", action="store_true",
+    # dest is the config key; an unset flag stays off args, so the config shows through
+    shown = {**_RUN_DEFAULTS, "tta_flips": ",".join(_RUN_DEFAULTS["tta_flips"]),
+             "reduced_flips": f"{','.join(REDUCED_FLIPS)} among the TTA flips"}
+    for flag, key, kind, text in (
+        ("--folds", "folds", int, "fold predictors per ensemble"),
+        ("--tta", "tta_flips", _flip_list, "comma list of flips"),
+        ("--reduced-tta", "reduced_flips", _flip_list, "flip subset used above the voxel threshold"),
+        ("--tta-reduction-threshold", "tta_reduction_threshold", int, "voxel count above which reduced TTA applies"),
+        ("--time-budget", "time_budget_s", float, "soft per-case wall-clock budget in seconds"),
+        ("--threshold", "decision_threshold", float, "probability decision threshold"),
+    ):
+        p.add_argument(flag, dest=key, type=kind, default=argparse.SUPPRESS, help=f"{text} (default {shown[key]})")
+    p.add_argument("--soft-deadline", dest="soft_deadline", action="store_true", default=argparse.SUPPRESS,
                    help="preemptively drop to reduced TTA if the projected time exceeds the budget")
 
     return parser
+
+
+# first match wins: (exception types, exit code, stderr label)
+_EXIT_TABLE = (
+    ((PredictorFailure,), EXIT_PREDICTOR, "predictor failure"),
+    ((ValidationError,), EXIT_VALIDATION, "validation error"),
+    ((IoFailure, OSError), EXIT_IO, "i/o error"),
+    ((PetsegError,), EXIT_VALIDATION, "error"),
+)
 
 
 def main(argv=None) -> int:
@@ -616,30 +620,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PredictorFailure as exc:
+    except (PetsegError, OSError) as exc:
+        _, code, label = next(row for row in _EXIT_TABLE if isinstance(exc, row[0]))
         if getattr(args, "json", False):
-            _print_json_error(exc)
+            print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         else:
-            print(f"petseg: predictor failure: {exc}", file=sys.stderr)
-        return EXIT_PREDICTOR
-    except ValidationError as exc:
-        if getattr(args, "json", False):
-            _print_json_error(exc)
-        else:
-            print(f"petseg: validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (IoFailure, OSError) as exc:
-        if getattr(args, "json", False):
-            _print_json_error(exc)
-        else:
-            print(f"petseg: i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except PetsegError as exc:
-        if getattr(args, "json", False):
-            _print_json_error(exc)
-        else:
-            print(f"petseg: error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+            print(f"petseg: {label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

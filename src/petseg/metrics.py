@@ -232,7 +232,7 @@ def _row(m: CaseMetrics) -> list[str]:
     ]
 
 
-def write_metrics_csv(path, cases, include_mean: bool = True) -> None:
+def write_metrics_csv(path, cases) -> None:
     """One row per case plus a trailing mean row.
 
     The mean Dice covers defined cases only; other columns average over all
@@ -244,7 +244,7 @@ def write_metrics_csv(path, cases, include_mean: bool = True) -> None:
         writer.writerow(CSV_HEADER)
         for m in cases:
             writer.writerow(_row(m))
-        if include_mean and cases:
+        if cases:
             defined = [m.dice for m in cases if m.dice is not None]
             mean_dice = float(np.mean(defined)) if defined else float("nan")
             writer.writerow([

@@ -12,7 +12,8 @@ diagonal entry) raises ``MalformedHeader``. With ``sform_code == 0`` the
 data are taken as stored. 4D files with a singleton fourth dimension are
 squeezed to 3D. Non-finite ``pixdim[1..3]`` or ``vox_offset``, and a
 non-finite ``scl_inter`` next to a valid ``scl_slope``, raise
-``MalformedHeader``.
+``MalformedHeader``; NaN or infinite voxels in a float file raise
+``IoFailure``.
 """
 
 from __future__ import annotations
@@ -236,6 +237,8 @@ def decode_volume(buf: bytes, header: NiftiHeader, kind: VolumeKind | None = Non
         )
 
     flat = np.frombuffer(buf, dtype=dt, count=nvox, offset=offset)
+    if dt.kind == "f" and not np.isfinite(flat).all():
+        raise IoFailure(f"{source}: NaN or infinite voxel values")
     data = np.flip(flat.reshape((nx, ny, nz), order="F"), header.flipped_axes)
     slope, inter = header.scl_slope, header.scl_inter
     identity = dt.kind in "iu" and slope == 1.0 and inter == 0.0

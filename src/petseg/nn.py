@@ -515,8 +515,7 @@ def grad_check(net: Network, x, y, h: float = 1e-5) -> float:
 WEIGHTS_FORMAT = "petseg-weights-v1"
 
 
-def save_model(manifest_path, params: dict[str, np.ndarray], specs, seed: int | None = None,
-               extra: dict | None = None) -> None:
+def save_model(manifest_path, params: dict[str, np.ndarray], specs, seed: int | None = None) -> None:
     """Write weights as a flat little-endian float64 blob plus a JSON
     manifest carrying tensor names, shapes, byte offsets, the architecture
     and the PRNG seed."""
@@ -537,8 +536,6 @@ def save_model(manifest_path, params: dict[str, np.ndarray], specs, seed: int | 
         "architecture": [asdict(s) for s in specs],
         "tensors": tensors,
     }
-    if extra:
-        manifest["extra"] = extra
     atomic_write(blob_path, b"".join(chunks))
     atomic_write(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 

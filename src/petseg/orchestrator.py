@@ -40,6 +40,7 @@ from . import nifti
 from .discriminator import DiscriminatorModel, Tracer, predict_tracer
 from .errors import BudgetExceededWarning, PredictorFailure, ValidationError
 from .preprocess import (
+    SUV_CAP,
     ChannelStack,
     WindowSpec,
     build_channels,
@@ -48,6 +49,10 @@ from .preprocess import (
 from .volume import BinaryMask, Volume3D, VolumeKind, require_same_grid
 
 ALL_FLIPS = ("identity", "x", "y", "z", "xy", "xz", "yz", "xyz")
+# the default reduced TTA set: those of these flips that are among the full set
+REDUCED_FLIPS = ("identity", "z")
+# fold predictors per tracer ensemble, as in the paper's 6-fold nnU-Nets
+N_FOLDS = 6
 _AXIS_OF = {"x": 0, "y": 1, "z": 2}
 # predictor calls in flight; a third gained nothing on 2 cores and held one
 # more volume
@@ -124,7 +129,7 @@ class SuvThresholdPredictor(Predictor):
     supplied organ masks. Exercises the full orchestration path without
     any trained weights."""
 
-    def __init__(self, cap: float = 20.0, organ_masks=None, name: str = "suv_threshold"):
+    def __init__(self, cap: float = SUV_CAP, organ_masks=None, name: str = "suv_threshold"):
         if cap <= 0:
             raise ValidationError(f"cap must be positive, got {cap}")
         self.cap = cap
@@ -215,7 +220,7 @@ class EnsembleConfig:
 
     folds: tuple[Predictor, ...]
     tta_flips: tuple[str, ...] = ALL_FLIPS
-    reduced_flips: tuple[str, ...] = ("identity", "z")
+    reduced_flips: tuple[str, ...] | None = None
     tta_reduction_threshold: int = 40_000_000
     time_budget_s: float = 300.0
     decision_threshold: float = 0.5
@@ -224,14 +229,17 @@ class EnsembleConfig:
     def __post_init__(self):
         object.__setattr__(self, "folds", tuple(self.folds))
         full = _canonical_flips(self.tta_flips)
-        reduced = _canonical_flips(self.reduced_flips)
+        reduced = self.reduced_flips
+        if reduced is None:
+            reduced = tuple(f for f in REDUCED_FLIPS if f in full)
+        reduced = _canonical_flips(reduced)
         if not set(reduced) <= set(full):
             raise ValidationError(f"reduced flips {reduced} must be a subset of {full}")
         object.__setattr__(self, "tta_flips", full)
         object.__setattr__(self, "reduced_flips", reduced)
 
 
-def make_suv_ensemble(n_folds: int = 6, cap: float = 20.0, **kwargs) -> EnsembleConfig:
+def make_suv_ensemble(n_folds: int = N_FOLDS, cap: float = SUV_CAP, **kwargs) -> EnsembleConfig:
     """Default desk-scale ensemble: n identical SUV-threshold folds."""
     folds = tuple(SuvThresholdPredictor(cap=cap, name=f"suv_threshold_f{i}") for i in range(n_folds))
     return EnsembleConfig(folds=folds, **kwargs)
@@ -351,7 +359,6 @@ class RoutedResult:
     tracer_probability: float
     mask: BinaryMask
     prob_map: Volume3D
-    wall_time_s: float
     tta_used: tuple[str, ...]
     stage_timings: dict[str, float] = field(default_factory=dict)
     invocations: tuple[Invocation, ...] = ()
@@ -360,8 +367,7 @@ class RoutedResult:
 
 def route(ct: Volume3D, pet: Volume3D, disc: DiscriminatorModel,
           cfg_fdg: EnsembleConfig, cfg_psma: EnsembleConfig,
-          window: WindowSpec = WindowSpec(), mip_spacing=(3.0, 3.0, 3.0),
-          suv_cap: float = 20.0) -> RoutedResult:
+          window: WindowSpec = WindowSpec()) -> RoutedResult:
     """Full inference: discriminate the tracer, pick that tracer's
     ensemble, run TTA ensembling and threshold the mean probability.
 
@@ -373,7 +379,7 @@ def route(ct: Volume3D, pet: Volume3D, disc: DiscriminatorModel,
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    mip = discriminator_mip(pet, spacing=mip_spacing, cap=suv_cap)
+    mip = discriminator_mip(pet)
     timings["mip_pipeline_s"] = time.perf_counter() - t0
 
     prediction = predict_tracer(disc, mip)
@@ -405,7 +411,6 @@ def route(ct: Volume3D, pet: Volume3D, disc: DiscriminatorModel,
         tracer_probability=prediction.probability,
         mask=mask,
         prob_map=prob,
-        wall_time_s=wall,
         tta_used=flips_used,
         stage_timings=timings,
         invocations=tuple(invocations),

@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 from pathlib import Path
@@ -6,6 +7,10 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
+# pyproject's pythonpath reaches only this process; the external-backend
+# tests start Python children that import petseg too
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 from petseg.volume import Volume3D, VolumeKind
 

@@ -1,5 +1,6 @@
 import gzip
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -465,3 +466,39 @@ class TestByteMutation:
         except IoFailure:
             return
         assert all(np.isfinite(s) and s > 0 for s in vol.spacing)
+
+
+class TestNonFiniteVoxels:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("kind", [None, VolumeKind.CT_HU, VolumeKind.LABEL])
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_read_raises_io_failure_naming_the_file(self, tmp_path, rng, dtype, kind, value):
+        data = rng.random((3, 4, 5))
+        data[1, 2, 3] = value
+        path = tmp_path / "nan_voxel.nii.gz"
+        nifti.write_volume(Volume3D(data, (1.0, 1.0, 1.0)), path, dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IoFailure, match="nan_voxel.nii.gz"):
+                nifti.read_volume(path, kind=kind)
+
+    def test_big_endian_nan_is_found(self, tmp_path):
+        data = np.zeros((2, 3, 4))
+        data[0, 0, 0] = np.nan
+        path = tmp_path / "be.nii"
+        nifti.write_volume(Volume3D(data, (1.0, 1.0, 1.0)), path, byteorder=">")
+        with pytest.raises(IoFailure):
+            nifti.read_volume(path)
+
+    def test_integer_files_are_not_checked_and_still_read(self, tmp_path):
+        path = tmp_path / "labels.nii"
+        nifti.write_volume(Volume3D(np.arange(24).reshape(2, 3, 4), (1, 1, 1), VolumeKind.LABEL), path)
+        assert nifti.read_volume(path).data.max() == 23
+
+    def test_cli_exit_2(self, tmp_path, capsys):
+        data = np.ones((3, 3, 3))
+        data[2, 2, 2] = np.nan
+        path = tmp_path / "nan_pet.nii"
+        nifti.write_volume(Volume3D(data, (1.0, 1.0, 1.0)), path)
+        assert cli.main(["inspect", str(path)]) == 2
+        assert "nan_pet.nii" in capsys.readouterr().err
