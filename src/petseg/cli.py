@@ -34,6 +34,7 @@ from .discriminator import (
     train_fold,
     train_val_split,
     write_history_csv,
+    write_mip,
 )
 from .errors import IoFailure, PetsegError, PredictorFailure, ValidationError
 from .fusion import load_organ_manifest, merge_organ_masks
@@ -55,14 +56,12 @@ from .preprocess import (
     SUV_CAP,
     WindowSpec,
     build_channels,
-    crop_pad_center,
     discriminator_mip,
-    mip_coronal,
     resample_nearest,
     resample_trilinear,
 )
 from .synthdata import synth_cases
-from .volume import Volume3D, VolumeKind
+from .volume import VolumeKind
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -248,19 +247,11 @@ def cmd_window(args) -> int:
 def cmd_mip(args) -> int:
     t0 = time.perf_counter()
     pet = nifti.read_volume(args.pet, kind=VolumeKind.PET_SUV)
-    if args.raw:
-        resampled = resample_trilinear(pet, args.spacing)
-        mip = crop_pad_center(mip_coronal(resampled), args.size,
-                              (resampled.spacing[0], resampled.spacing[2]))
-    else:
-        mip = discriminator_mip(pet, spacing=args.spacing, out_size=args.size, cap=args.cap)
-    sx, sz = mip.source_spacing
-    vol = Volume3D(mip.pixels[:, :, None], (sx, sz, 1.0), VolumeKind.PET_SUV)
-    nifti.write_volume(vol, args.out)
+    mip = discriminator_mip(pet)
+    write_mip(mip, args.out)
     write_run_manifest(
         args.out, "mip",
-        {"pet": str(args.pet), "out": str(args.out), "spacing": list(args.spacing),
-         "size": args.size, "cap": args.cap, "raw": bool(args.raw)},
+        {"pet": str(args.pet), "out": str(args.out)},
         inputs=[args.pet],
         timings={"total_s": time.perf_counter() - t0},
     )
@@ -346,7 +337,7 @@ def cmd_cv_disc(args) -> int:
 def cmd_predict_tracer(args) -> int:
     model = DiscriminatorModel.load(args.model)
     pet = nifti.read_volume(args.pet, kind=VolumeKind.PET_SUV)
-    mip = discriminator_mip(pet, spacing=args.spacing, cap=args.cap)
+    mip = discriminator_mip(pet)
     prediction = predict_tracer(model, mip)
     print(f"tracer={prediction.tracer.name} probability={prediction.probability:.6f} "
           f"wall_time_s={prediction.wall_time_s:.4f}")
@@ -425,8 +416,9 @@ _RUN_DEFAULTS = {
 _TRACER_SECTIONS = ("fdg", "psma")
 
 
-def _build_ensemble(cfg: dict, case_id: str) -> EnsembleConfig:
-    """The EnsembleConfig of resolved run settings."""
+def _build_ensemble(cfg: dict, case_id: str) -> tuple[EnsembleConfig, dict]:
+    """The EnsembleConfig of resolved run settings, and the resolved
+    backend object. An external backend call times out at the time budget."""
     policy = {k: v for k, v in cfg.items() if k not in ("folds", "backend")}
     n_folds, backend = cfg["folds"], cfg["backend"]
     if n_folds < 1:
@@ -434,14 +426,15 @@ def _build_ensemble(cfg: dict, case_id: str) -> EnsembleConfig:
     kind = backend.get("kind", "suv_threshold")
     if kind == "suv_threshold":
         opts = _resolve({"kind": kind, "cap": SUV_CAP}, {"backend.": backend})
-        return make_suv_ensemble(n_folds, cap=opts["cap"], **policy)
+        return make_suv_ensemble(n_folds, cap=opts["cap"], **policy), opts
     if kind == "external":
         opts = _resolve({"kind": kind, "command": (), "name": "external"}, {"backend.": backend})
         if not opts["command"]:
             raise ValidationError("external backend needs a 'command' list")
-        folds = [ExternalPredictor(opts["command"], name=f"{opts['name']}_f{i}", case_id=case_id)
+        folds = [ExternalPredictor(opts["command"], name=f"{opts['name']}_f{i}", case_id=case_id,
+                                   timeout=cfg["time_budget_s"])
                  for i in range(n_folds)]
-        return EnsembleConfig(folds, **policy)
+        return EnsembleConfig(folds, **policy), opts
     raise ValidationError(f"unknown backend kind {kind!r}")
 
 
@@ -452,8 +445,10 @@ def cmd_run(args) -> int:
     ensembles, settings = {}, {}
     for tracer in _TRACER_SECTIONS:
         cfg = _resolve(_RUN_DEFAULTS, {"": top, tracer + ".": doc.get(tracer, {})}, args)
-        ens = ensembles[tracer] = _build_ensemble(cfg, args.case_id)
-        settings[tracer] = {**cfg, "tta_flips": ens.tta_flips, "reduced_flips": ens.reduced_flips}
+        ens, backend = _build_ensemble(cfg, args.case_id)
+        ensembles[tracer] = ens
+        settings[tracer] = {**cfg, "backend": backend,
+                            "tta_flips": ens.tta_flips, "reduced_flips": ens.reduced_flips}
     window = WindowSpec(**_resolve(dataclasses.asdict(WindowSpec()), {"window.": doc.get("window", {})}))
 
     ct = nifti.read_volume(args.ct, kind=VolumeKind.CT_HU)
@@ -495,13 +490,17 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
+_MIP_CONTRACT = (f"the PET resampled to {MIP_SPACING[0]} mm, projected coronally, centred in a "
+                 f"{MIP_SIZE} x {MIP_SIZE} frame, capped at SUV {SUV_CAP} and scaled into [0, 1]")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="petseg", description=__doc__, formatter_class=_HelpFormatter)
     parser.add_argument("--version", action="version", version=f"petseg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text, formatter_class=_HelpFormatter)
+    def add(name, func, help_text, description=None):
+        p = sub.add_parser(name, help=help_text, description=description, formatter_class=_HelpFormatter)
         p.add_argument("--json", action="store_true", help="machine-readable errors on stderr")
         p.set_defaults(func=func)
         return p
@@ -526,14 +525,11 @@ def build_parser() -> _Parser:
     p.add_argument("--ct-lo", type=float, default=CT_WINDOW[0], help="CT window low (HU)")
     p.add_argument("--ct-hi", type=float, default=CT_WINDOW[1], help="CT window high (HU)")
 
-    p = add("mip", cmd_mip, "coronal maximum-intensity projection, padded to a square")
+    p = add("mip", cmd_mip, "write the tracer classifier's input MIP of a PET volume",
+            f"Writes the tracer classifier's input: {_MIP_CONTRACT}. synth, predict-tracer and run "
+            "make the same image.")
     p.add_argument("--pet", required=True, help="PET volume (SUV)")
-    p.add_argument("--out", required=True, help="output 2D NIfTI")
-    p.add_argument("--spacing", type=_spacing_triple, default=MIP_SPACING,
-                   help="resampling spacing before projection (mm)")
-    p.add_argument("--size", type=int, default=MIP_SIZE, help="output side length in pixels")
-    p.add_argument("--cap", type=float, default=SUV_CAP, help="SUV cap for normalization")
-    p.add_argument("--raw", action="store_true", help="skip the cap/normalize step")
+    p.add_argument("--out", required=True, help="output (nx, nz, 1) NIfTI")
 
     p = add("synth", cmd_synth, "generate a synthetic phantom corpus with MIP manifest")
     p.add_argument("--n", type=int, required=True, help="number of cases (balanced FDG/PSMA)")
@@ -555,12 +551,10 @@ def build_parser() -> _Parser:
     _add_train_flags(p)
 
     p = add("predict-tracer", cmd_predict_tracer,
-            "classify the tracer of a PET volume (exit 10 = FDG, 11 = PSMA)")
+            "classify the tracer of a PET volume (exit 10 = FDG, 11 = PSMA)",
+            f"Classifies the MIP that mip writes and run classifies: {_MIP_CONTRACT}.")
     p.add_argument("--model", required=True, help="trained model manifest (.json)")
     p.add_argument("--pet", required=True, help="PET volume (SUV)")
-    p.add_argument("--spacing", type=_spacing_triple, default=MIP_SPACING,
-                   help="resampling spacing before projection (mm)")
-    p.add_argument("--cap", type=float, default=SUV_CAP, help="SUV cap for normalization")
 
     p = add("fuse", cmd_fuse, "merge organ masks + lesion into a grouped label map")
     p.add_argument("--manifest", required=True,
@@ -596,11 +590,12 @@ def build_parser() -> _Parser:
         ("--tta", "tta_flips", _flip_list, "comma list of flips"),
         ("--reduced-tta", "reduced_flips", _flip_list, "flip subset used above the voxel threshold"),
         ("--tta-reduction-threshold", "tta_reduction_threshold", int, "voxel count above which reduced TTA applies"),
-        ("--time-budget", "time_budget_s", float, "soft per-case wall-clock budget in seconds"),
+        ("--time-budget", "time_budget_s", float, "soft per-case budget in seconds; hard per backend call"),
         ("--threshold", "decision_threshold", float, "probability decision threshold"),
     ):
         p.add_argument(flag, dest=key, type=kind, default=argparse.SUPPRESS, help=f"{text} (default {shown[key]})")
-    p.add_argument("--soft-deadline", dest="soft_deadline", action="store_true", default=argparse.SUPPRESS,
+    p.add_argument("--soft-deadline", dest="soft_deadline", action=argparse.BooleanOptionalAction,
+                   default=argparse.SUPPRESS,
                    help="preemptively drop to reduced TTA if the projected time exceeds the budget")
 
     return parser

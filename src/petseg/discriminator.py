@@ -32,7 +32,7 @@ from .nn import (
     save_model,
     sigmoid,
 )
-from .preprocess import MipImage
+from .preprocess import MIP_SIZE, MipImage
 from .volume import Volume3D, VolumeKind
 
 
@@ -41,7 +41,7 @@ class Tracer(IntEnum):
     PSMA = 1
 
 
-INPUT_SHAPE = (1, 224, 224)
+INPUT_SHAPE = (1, MIP_SIZE, MIP_SIZE)
 
 # Six stride-2 convs bring 224 down to 4; 64*4*4 = 1024 feeds the head.
 DEFAULT_ARCH = (
@@ -122,7 +122,16 @@ class DiscriminatorModel:
         return model
 
 
+def _require_input_size(shape, source) -> None:
+    """Raise ValidationError naming ``source`` unless ``shape`` is MIP_SIZE x MIP_SIZE."""
+    if tuple(shape) != INPUT_SHAPE[1:]:
+        raise ValidationError(f"{source}: MIP is {'x'.join(map(str, shape))}, "
+                              f"the tracer classifier reads {MIP_SIZE}x{MIP_SIZE}")
+
+
 def _to_batch(mips) -> np.ndarray:
+    for m in mips:
+        _require_input_size(m.image.shape, m.case_id)
     return np.stack([m.image.pixels for m in mips])[:, None, :, :]
 
 
@@ -139,7 +148,7 @@ def _eval_batches(network: Network, x: np.ndarray, y: np.ndarray, batch_size: in
     return total_loss / x.shape[0], correct / x.shape[0]
 
 
-def train_fold(train, val, cfg: TrainConfig = TrainConfig(), specs=DEFAULT_ARCH):
+def train_fold(train, val, cfg: TrainConfig = TrainConfig()):
     """Minimize mean BCE with AdamW; early-stop on the validation loss.
 
     Stops when validation BCE fails to improve by more than 1e-6 for
@@ -154,7 +163,7 @@ def train_fold(train, val, cfg: TrainConfig = TrainConfig(), specs=DEFAULT_ARCH)
         raise ValidationError(f"train/val case_ids overlap: {sorted(overlap)[:5]}")
 
     rng = np.random.default_rng(cfg.seed)
-    network = Network(specs, rng, input_shape=INPUT_SHAPE)
+    network = Network(DEFAULT_ARCH, rng, input_shape=INPUT_SHAPE)
     opt = AdamW(network.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
 
     x_train = _to_batch(train)
@@ -228,7 +237,7 @@ def stratified_folds(data, k: int, seed: int) -> list[list[int]]:
     return folds
 
 
-def cross_validate(data, k: int = 5, cfg: TrainConfig = TrainConfig(), specs=DEFAULT_ARCH) -> CVResult:
+def cross_validate(data, k: int = 5, cfg: TrainConfig = TrainConfig()) -> CVResult:
     """Stratified k-fold cross-validation of the tracer classifier.
 
     Accuracy per fold is the fraction of held-out cases whose thresholded
@@ -250,7 +259,7 @@ def cross_validate(data, k: int = 5, cfg: TrainConfig = TrainConfig(), specs=DEF
         fold_rng = np.random.default_rng(fold_seed)
 
         tr, val = train_val_split(rest, cfg.val_fraction, fold_rng)
-        model, history = train_fold(tr, val, replace(cfg, seed=fold_seed), specs=specs)
+        model, history = train_fold(tr, val, replace(cfg, seed=fold_seed))
         x_held = _to_batch(held)
         y_held = np.array([[m.label] for m in held], dtype=np.float64)
         _, acc = _eval_batches(model.network, x_held, y_held, cfg.batch_size)
@@ -269,6 +278,7 @@ def cross_validate(data, k: int = 5, cfg: TrainConfig = TrainConfig(), specs=DEF
 
 def predict_tracer(model: DiscriminatorModel, mip: MipImage) -> TracerPrediction:
     """Classify one MIP; probability >= 0.5 means PSMA (ties included)."""
+    _require_input_size(mip.shape, "predict_tracer")
     x = mip.pixels[None, None, :, :]
     t0 = time.perf_counter()
     p = float(model.network.forward(x)[0, 0])
@@ -287,48 +297,48 @@ def write_history_csv(path, history) -> None:
             writer.writerow([row.epoch, f"{row.train_bce:.6f}", f"{row.val_bce:.6f}", f"{row.val_acc:.6f}"])
 
 
-def save_mip_dataset(out_dir, mips, manifest_name: str = "mip_manifest.json") -> Path:
-    """Write MIP images as float32 NIfTI plus the JSON training manifest."""
+def write_mip(image: MipImage, path) -> None:
+    """Write ``image`` as an (nx, nz, 1) float32 NIfTI with its source spacing."""
+    sx, sz = image.source_spacing
+    nifti.write_volume(Volume3D(image.pixels[:, :, None], (sx, sz, 1.0), VolumeKind.PET_SUV), path)
+
+
+def read_mip(path) -> MipImage:
+    """An (nx, nz, 1) NIfTI as :func:`write_mip` writes it, or a raw little-endian
+    float32 grid of 1 mm pixels; either must be MIP_SIZE x MIP_SIZE."""
+    if str(path).endswith((".nii", ".nii.gz")):
+        vol = nifti.read_volume(path, kind=VolumeKind.PET_SUV)
+        if vol.shape[2] != 1:
+            raise ValidationError(f"{path}: expected a single-slice volume, got {vol.shape}")
+        _require_input_size(vol.shape[:2], path)
+        return MipImage(vol.data[:, :, 0], (vol.spacing[0], vol.spacing[1]))
+    raw = np.fromfile(path, dtype="<f4")
+    if raw.size != MIP_SIZE * MIP_SIZE:
+        raise ValidationError(f"{path}: {raw.size} raw floats, the tracer classifier reads {MIP_SIZE}x{MIP_SIZE}")
+    return MipImage(raw.reshape(MIP_SIZE, MIP_SIZE), (1.0, 1.0))
+
+
+def save_mip_dataset(out_dir, mips) -> Path:
+    """Write MIPs with :func:`write_mip` plus the JSON manifest ``mip_manifest.json``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for m in mips:
         fname = f"{m.case_id}_mip.nii.gz"
-        sx, sz = m.image.source_spacing
-        vol = Volume3D(m.image.pixels[:, :, None], (sx, sz, 1.0), VolumeKind.PET_SUV)
-        nifti.write_volume(vol, out_dir / fname)
+        write_mip(m.image, out_dir / fname)
         entries.append({"case_id": m.case_id, "mip_path": fname, "label": int(m.label)})
-    manifest_path = out_dir / manifest_name
+    manifest_path = out_dir / "mip_manifest.json"
     manifest_path.write_text(json.dumps(entries, indent=2) + "\n")
     return manifest_path
 
 
 def load_mip_dataset(manifest_path) -> list[LabeledMip]:
-    """Load a manifest of {case_id, mip_path, label} entries.
-
-    ``mip_path`` may point at a 2D NIfTI (nx, nz, 1) or a raw little-endian
-    float32 grid of 224 x 224 values; paths are relative to the manifest.
-    """
+    """Load a manifest of {case_id, mip_path, label} entries; each
+    ``mip_path`` is relative to the manifest and read by :func:`read_mip`."""
     manifest_path = Path(manifest_path)
     try:
         entries = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise IoFailure(f"cannot read manifest {manifest_path}: {exc}") from exc
-    mips = []
-    for e in entries:
-        path = manifest_path.parent / e["mip_path"]
-        if str(path).endswith((".nii", ".nii.gz")):
-            vol = nifti.read_volume(path, kind=VolumeKind.PET_SUV)
-            if vol.shape[2] != 1:
-                raise ValidationError(f"{path}: expected a single-slice volume, got {vol.shape}")
-            pixels = vol.data[:, :, 0]
-            spacing = (vol.spacing[0], vol.spacing[1])
-        else:
-            raw = np.fromfile(path, dtype="<f4")
-            side = int(round(np.sqrt(raw.size)))
-            if side * side != raw.size:
-                raise ValidationError(f"{path}: raw grid of {raw.size} floats is not square")
-            pixels = raw.reshape(side, side).astype(np.float64)
-            spacing = (1.0, 1.0)
-        mips.append(LabeledMip(MipImage(pixels, spacing), int(e["label"]), str(e["case_id"])))
-    return mips
+    return [LabeledMip(read_mip(manifest_path.parent / e["mip_path"]), int(e["label"]), str(e["case_id"]))
+            for e in entries]

@@ -125,23 +125,18 @@ class Predictor:
 
 
 class SuvThresholdPredictor(Predictor):
-    """Probability = clipped PET channel / cap, optionally zeroed inside
-    supplied organ masks. Exercises the full orchestration path without
-    any trained weights."""
+    """Probability = clipped PET channel / cap. Exercises the full
+    orchestration path without any trained weights."""
 
-    def __init__(self, cap: float = SUV_CAP, organ_masks=None, name: str = "suv_threshold"):
+    def __init__(self, cap: float = SUV_CAP, name: str = "suv_threshold"):
         if cap <= 0:
             raise ValidationError(f"cap must be positive, got {cap}")
         self.cap = cap
-        self.organ_masks = tuple(organ_masks) if organ_masks else ()
         self.name = name
 
     def predict(self, stack: ChannelStack) -> Volume3D:
         prob = np.divide(stack.pet_clipped.data, self.cap)
         np.clip(prob, 0.0, 1.0, out=prob)
-        for mask in self.organ_masks:
-            require_same_grid(stack.pet_clipped, mask, "organ mask / stack")
-            prob[mask.mask] = 0.0
         return Volume3D(prob, stack.spacing, VolumeKind.PROBABILITY)
 
 
@@ -316,10 +311,9 @@ def _ensemble_mean(folds: dict, stack: ChannelStack, flips, on_invoke, first=())
     return total
 
 
-def tta_predict(predictor: Predictor, stack: ChannelStack, flips, fold: int = 0,
-                on_invoke=None) -> Volume3D:
+def tta_predict(predictor: Predictor, stack: ChannelStack, flips, on_invoke=None) -> Volume3D:
     """Mean prediction over axis flips (flip, predict, unflip, average)."""
-    mean = _ensemble_mean({fold: predictor}, _read_only(stack), _canonical_flips(flips), on_invoke)
+    mean = _ensemble_mean({0: predictor}, _read_only(stack), _canonical_flips(flips), on_invoke)
     return Volume3D(mean, stack.spacing, VolumeKind.PROBABILITY)
 
 

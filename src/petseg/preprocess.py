@@ -283,14 +283,11 @@ def normalize_mip(m: MipImage, cap: float = SUV_CAP) -> MipImage:
     return MipImage(np.minimum(m.pixels, cap) / cap, m.source_spacing)
 
 
-def discriminator_mip(
-    pet: Volume3D,
-    spacing=MIP_SPACING,
-    out_size: int = MIP_SIZE,
-    cap: float = SUV_CAP,
-) -> MipImage:
-    """Full tracer-classifier input pipeline: resample, project, pad, scale."""
-    resampled = resample_trilinear(pet, spacing)
+def discriminator_mip(pet: Volume3D) -> MipImage:
+    """The tracer-classifier input: ``pet`` resampled to ``MIP_SPACING``,
+    projected coronally, centred in a ``MIP_SIZE`` square, capped at
+    ``SUV_CAP`` and scaled into [0, 1]. Training and inference both use it."""
+    resampled = resample_trilinear(pet, MIP_SPACING)
     img = mip_coronal(resampled)
-    mip = crop_pad_center(img, out_size, (resampled.spacing[0], resampled.spacing[2]))
-    return normalize_mip(mip, cap)
+    mip = crop_pad_center(img, MIP_SIZE, (resampled.spacing[0], resampled.spacing[2]))
+    return normalize_mip(mip)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .discriminator import LabeledMip
 from .errors import HotspotOutOfBounds, ValidationError
-from .preprocess import MIP_SPACING, MIP_SIZE, SUV_CAP, discriminator_mip
+from .preprocess import discriminator_mip
 from .volume import BinaryMask, Volume3D, VolumeKind
 
 
@@ -158,27 +158,25 @@ def random_phantom_spec(style: TracerStyle, seed: int) -> PhantomSpec:
     return replace(spec, hotspots=_random_lesions(spec, rng))
 
 
-def synth_cases(n: int, seed: int = 0, mip_spacing=MIP_SPACING, out_size: int = MIP_SIZE,
-                cap: float = SUV_CAP):
+def synth_cases(n: int, seed: int = 0):
     """Yield ``(labeled_mip, pet, ct, lesion)`` for cases 0..n-1 of a corpus.
 
     Even cases are FDG-like and odd cases PSMA-like; case ``i`` draws its
     phantom from child ``i`` of ``seed`` and is named ``synth_{i:04d}``.
-    The MIP goes through the real preprocessing path.
+    The MIP is the classifier input :func:`discriminator_mip` makes.
     """
     for i in range(n):
         style = TracerStyle.FDG_LIKE if i % 2 == 0 else TracerStyle.PSMA_LIKE
         item_seed = int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0])
         spec = random_phantom_spec(style, item_seed)
         pet, ct, lesion = make_phantom(spec)
-        mip = discriminator_mip(pet, spacing=mip_spacing, out_size=out_size, cap=cap)
+        mip = discriminator_mip(pet)
         label = 0 if style is TracerStyle.FDG_LIKE else 1
         yield LabeledMip(mip, label, f"synth_{i:04d}"), pet, ct, lesion
 
 
-def make_mip_dataset(n: int, seed: int = 0, mip_spacing=MIP_SPACING, out_size: int = MIP_SIZE,
-                     cap: float = SUV_CAP) -> list[LabeledMip]:
+def make_mip_dataset(n: int, seed: int = 0) -> list[LabeledMip]:
     """Balanced FDG/PSMA synthetic MIPs through the real preprocessing path."""
     if n < 2:
         raise ValidationError(f"need at least 2 samples, got {n}")
-    return [mip for mip, _, _, _ in synth_cases(n, seed, mip_spacing, out_size, cap)]
+    return [mip for mip, _, _, _ in synth_cases(n, seed)]

@@ -84,9 +84,9 @@ class Volume3D:
         sx, sy, sz = self.spacing
         return sx * sy * sz
 
-    def with_data(self, data: np.ndarray, kind: VolumeKind | None = None) -> "Volume3D":
-        """New volume on the same grid with different values."""
-        return Volume3D(data, self.spacing, self.kind if kind is None else kind)
+    def with_data(self, data: np.ndarray) -> "Volume3D":
+        """New volume of the same kind on the same grid with different values."""
+        return Volume3D(data, self.spacing, self.kind)
 
 
 def require_same_grid(a: Volume3D | "BinaryMask", b: Volume3D | "BinaryMask", what: str = "volumes"):
