@@ -33,6 +33,7 @@ from .discriminator import (
     save_mip_dataset,
     train_fold,
     train_val_split,
+    write_cv_csv,
     write_history_csv,
     write_mip,
 )
@@ -179,6 +180,13 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(**_resolve(dataclasses.asdict(TrainConfig()), {"": file_cfg}, args))
 
 
+def _write_manifest(args, target, config: dict, timings: dict | None = None, **fields):
+    """The run manifest of subcommand ``args.command``; its ``total_s`` counts
+    from the start of :func:`main`."""
+    timings = {**(timings or {}), "total_s": time.perf_counter() - args.started}
+    return write_run_manifest(target, args.command, config, timings=timings, **fields)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -203,7 +211,6 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_resample(args) -> int:
-    t0 = time.perf_counter()
     if args.mode == "nearest":
         vol = nifti.read_volume(args.infile, kind=VolumeKind.LABEL)
         out = resample_nearest(vol, args.spacing)
@@ -211,18 +218,16 @@ def cmd_resample(args) -> int:
         vol = nifti.read_volume(args.infile)
         out = resample_trilinear(vol, args.spacing)
     nifti.write_volume(out, args.out)
-    write_run_manifest(
-        args.out, "resample",
+    _write_manifest(
+        args, args.out,
         {"in": str(args.infile), "out": str(args.out), "spacing": list(args.spacing), "mode": args.mode},
         inputs=[args.infile],
-        timings={"total_s": time.perf_counter() - t0},
     )
     print(f"resampled {vol.shape} -> {out.shape} at {args.spacing} mm")
     return EXIT_OK
 
 
 def cmd_window(args) -> int:
-    t0 = time.perf_counter()
     window = WindowSpec(args.pet_lo, args.pet_hi, args.ct_lo, args.ct_hi)
     ct = nifti.read_volume(args.ct, kind=VolumeKind.CT_HU)
     pet = nifti.read_volume(args.pet, kind=VolumeKind.PET_SUV)
@@ -233,34 +238,30 @@ def cmd_window(args) -> int:
              "channel_2_ct_clipped.nii.gz", "channel_3_pet_clipped.nii.gz"]
     for name, ch in zip(names, stack.channels):
         nifti.write_volume(ch, out_dir / name)
-    write_run_manifest(
-        out_dir, "window",
+    _write_manifest(
+        args, out_dir,
         {"ct": str(args.ct), "pet": str(args.pet), "out_dir": str(out_dir),
          "window": dataclasses.asdict(window), "channels": names},
         inputs=[args.ct, args.pet],
-        timings={"total_s": time.perf_counter() - t0},
     )
     print(f"wrote 4 channels to {out_dir}")
     return EXIT_OK
 
 
 def cmd_mip(args) -> int:
-    t0 = time.perf_counter()
     pet = nifti.read_volume(args.pet, kind=VolumeKind.PET_SUV)
     mip = discriminator_mip(pet)
     write_mip(mip, args.out)
-    write_run_manifest(
-        args.out, "mip",
+    _write_manifest(
+        args, args.out,
         {"pet": str(args.pet), "out": str(args.out)},
         inputs=[args.pet],
-        timings={"total_s": time.perf_counter() - t0},
     )
     print(f"wrote {mip.shape[0]}x{mip.shape[1]} MIP to {args.out}")
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
-    t0 = time.perf_counter()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     mips = []
@@ -271,12 +272,11 @@ def cmd_synth(args) -> int:
             nifti.write_volume(lesion.to_label_volume(), out_dir / f"{mip.case_id}_lesion.nii.gz")
         mips.append(mip)
     manifest_path = save_mip_dataset(out_dir, mips)
-    write_run_manifest(
-        out_dir, "synth",
+    _write_manifest(
+        args, out_dir,
         {"n": args.n, "seed": args.seed, "out_dir": str(out_dir),
          "with_volumes": bool(args.with_volumes)},
         seed=args.seed,
-        timings={"total_s": time.perf_counter() - t0},
         extra={"mip_manifest": manifest_path.name},
     )
     print(f"generated {args.n} cases into {out_dir} (manifest: {manifest_path.name})")
@@ -284,7 +284,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train_disc(args) -> int:
-    t0 = time.perf_counter()
     cfg = _train_config(args)
     data = load_mip_dataset(args.manifest)
     train, val = train_val_split(data, cfg.val_fraction, np.random.default_rng(cfg.seed))
@@ -292,13 +291,12 @@ def cmd_train_disc(args) -> int:
     model.save(args.out_model)
     history_path = args.history or str(Path(args.out_model).with_suffix("")) + "_history.csv"
     write_history_csv(history_path, history)
-    write_run_manifest(
-        args.out_model, "train-disc",
+    _write_manifest(
+        args, args.out_model,
         {"manifest": str(args.manifest), "out_model": str(args.out_model),
          "history": str(history_path), **dataclasses.asdict(cfg)},
         inputs=[args.manifest],
         seed=cfg.seed,
-        timings={"total_s": time.perf_counter() - t0},
         extra={"epochs_run": len(history), "best_val_bce": min(h.val_bce for h in history)},
     )
     best = min(history, key=lambda h: h.val_bce)
@@ -308,7 +306,6 @@ def cmd_train_disc(args) -> int:
 
 
 def cmd_cv_disc(args) -> int:
-    t0 = time.perf_counter()
     cfg = _train_config(args)
     data = load_mip_dataset(args.manifest)
     result = cross_validate(data, k=args.k, cfg=cfg)
@@ -316,18 +313,13 @@ def cmd_cv_disc(args) -> int:
         print(f"fold {i}: accuracy {acc:.4f} ({len(result.fold_case_ids[i])} held out)")
     print(f"mean accuracy: {result.mean_accuracy:.4f}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("fold,accuracy,held_out\n")
-            for i, acc in enumerate(result.fold_accuracies):
-                fh.write(f"{i},{acc:.6f},{len(result.fold_case_ids[i])}\n")
-            fh.write(f"mean,{result.mean_accuracy:.6f},{len(data)}\n")
-        write_run_manifest(
-            args.out, "cv-disc",
+        write_cv_csv(args.out, result)
+        _write_manifest(
+            args, args.out,
             {"manifest": str(args.manifest), "k": args.k, "out": str(args.out),
              **dataclasses.asdict(cfg)},
             inputs=[args.manifest],
             seed=cfg.seed,
-            timings={"total_s": time.perf_counter() - t0},
             extra={"fold_accuracies": [round(a, 6) for a in result.fold_accuracies],
                    "mean_accuracy": round(result.mean_accuracy, 6)},
         )
@@ -345,7 +337,6 @@ def cmd_predict_tracer(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    t0 = time.perf_counter()
     from .volume import BinaryMask
 
     case_id, lesion_path, organ_paths = load_organ_manifest(args.manifest)
@@ -356,23 +347,26 @@ def cmd_fuse(args) -> int:
         masks.append((name, BinaryMask.from_volume_foreground(vol)))
     fused = merge_organ_masks(masks, lesion, ignore_unknown=args.ignore_unknown)
     nifti.write_volume(fused, args.out)
-    write_run_manifest(
-        args.out, "fuse",
+    _write_manifest(
+        args, args.out,
         {"manifest": str(args.manifest), "out": str(args.out), "case_id": case_id,
          "ignore_unknown": bool(args.ignore_unknown)},
         inputs=[args.manifest, lesion_path, *organ_paths.values()],
-        timings={"total_s": time.perf_counter() - t0},
     )
     print(f"fused {len(masks)} organ masks + lesion for case {case_id} -> {args.out}")
     return EXIT_OK
 
 
+def _volume_files(directory: Path) -> dict:
+    """{name: path} of the .nii/.nii.gz files in ``directory``; the manifests
+    and temporary files written beside them are not volumes."""
+    return {p.name: p for p in sorted(directory.glob("*.nii*")) if case_id_of(p) != p.name}
+
+
 def cmd_evaluate(args) -> int:
-    t0 = time.perf_counter()
     pred_dir = Path(args.pred_dir)
     gt_dir = Path(args.gt_dir)
-    pred_files = {p.name: p for p in sorted(pred_dir.glob("*.nii*"))}
-    gt_files = {p.name: p for p in sorted(gt_dir.glob("*.nii*"))}
+    pred_files, gt_files = _volume_files(pred_dir), _volume_files(gt_dir)
     common = sorted(set(pred_files) & set(gt_files))
     if not common:
         raise ValidationError(f"no matching .nii files between {pred_dir} and {gt_dir}")
@@ -391,12 +385,11 @@ def cmd_evaluate(args) -> int:
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         cases = list(pool.map(evaluate, common))
     write_metrics_csv(args.out, cases)
-    write_run_manifest(
-        args.out, "evaluate",
+    _write_manifest(
+        args, args.out,
         {"pred_dir": str(pred_dir), "gt_dir": str(gt_dir), "out": str(args.out),
          "connectivity": args.connectivity, "lesion_label": args.lesion_label, "jobs": args.jobs},
         inputs=[pred_files[n] for n in common] + [gt_files[n] for n in common],
-        timings={"total_s": time.perf_counter() - t0},
         extra={"unmatched": unmatched},
     )
     defined = [c.dice for c in cases if c.dice is not None]
@@ -439,7 +432,6 @@ def _build_ensemble(cfg: dict, case_id: str) -> tuple[EnsembleConfig, dict]:
 
 
 def cmd_run(args) -> int:
-    t0 = time.perf_counter()
     doc = _load_config_file(args.config)
     top = {k: v for k, v in doc.items() if k not in (*_TRACER_SECTIONS, "window")}
     ensembles, settings = {}, {}
@@ -460,8 +452,8 @@ def cmd_run(args) -> int:
     nifti.write_volume(result.mask.to_label_volume(), args.out)
     if args.out_prob:
         nifti.write_volume(result.prob_map, args.out_prob)
-    write_run_manifest(
-        args.out, "run",
+    _write_manifest(
+        args, args.out,
         {"ct": str(args.ct), "pet": str(args.pet), "disc_model": str(args.disc_model),
          "out": str(args.out), "out_prob": str(args.out_prob) if args.out_prob else None,
          "case_id": args.case_id,
@@ -611,8 +603,9 @@ _EXIT_TABLE = (
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    started = time.perf_counter()
+    args = build_parser().parse_args(argv)
+    args.started = started
     try:
         return args.func(args)
     except (PetsegError, OSError) as exc:

@@ -8,7 +8,6 @@ the decision threshold is 0.5 with ties going to PSMA.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from dataclasses import dataclass, replace
@@ -19,6 +18,7 @@ import numpy as np
 
 from . import nifti
 from .errors import DivergedLoss, EmptySplit, IoFailure, TooFewSamples, ValidationError
+from .manifest import atomic_write, write_csv
 from .nn import (
     AdamW,
     Conv2DSpec,
@@ -290,11 +290,19 @@ def predict_tracer(model: DiscriminatorModel, mip: MipImage) -> TracerPrediction
 # dataset manifest and history I/O
 
 def write_history_csv(path, history) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_bce", "val_bce", "val_acc"])
-        for row in history:
-            writer.writerow([row.epoch, f"{row.train_bce:.6f}", f"{row.val_bce:.6f}", f"{row.val_acc:.6f}"])
+    write_csv(path, [["epoch", "train_bce", "val_bce", "val_acc"],
+                     *([r.epoch, f"{r.train_bce:.6f}", f"{r.val_bce:.6f}", f"{r.val_acc:.6f}"]
+                       for r in history)])
+
+
+def write_cv_csv(path, result: CVResult) -> None:
+    """One row per fold (accuracy, held-out count), then the mean over all
+    held-out cases."""
+    folds = zip(result.fold_accuracies, result.fold_case_ids)
+    rows = [f"{i},{acc:.6f},{len(ids)}\n" for i, (acc, ids) in enumerate(folds)]
+    held = sum(map(len, result.fold_case_ids))
+    text = "".join(["fold,accuracy,held_out\n", *rows, f"mean,{result.mean_accuracy:.6f},{held}\n"])
+    atomic_write(path, text.encode())
 
 
 def write_mip(image: MipImage, path) -> None:
@@ -328,7 +336,7 @@ def save_mip_dataset(out_dir, mips) -> Path:
         write_mip(m.image, out_dir / fname)
         entries.append({"case_id": m.case_id, "mip_path": fname, "label": int(m.label)})
     manifest_path = out_dir / "mip_manifest.json"
-    manifest_path.write_text(json.dumps(entries, indent=2) + "\n")
+    atomic_write(manifest_path, (json.dumps(entries, indent=2) + "\n").encode())
     return manifest_path
 
 

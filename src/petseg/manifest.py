@@ -9,11 +9,13 @@ are expected to differ between runs.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import platform
-import tempfile
+import secrets
 from pathlib import Path
 
 from .errors import IoFailure
@@ -33,23 +35,31 @@ def sha256_file(path) -> str:
 
 
 def atomic_write(path, payload: bytes) -> None:
-    """Write ``payload`` to a temporary sibling, then rename it over ``path``.
+    """Write ``payload`` to a new temporary sibling, then rename it over ``path``.
 
-    On failure the temporary file is removed, an existing ``path`` is left
-    as it was, and ``OSError`` becomes ``IoFailure``."""
+    The file gets the mode a plain ``open`` would give it. On failure the
+    temporary file is removed, an existing ``path`` is left as it was, and
+    ``OSError`` becomes ``IoFailure``."""
     path = Path(path)
+    tmp = path.with_name(f"{path.name}{secrets.token_hex(4)}.tmp")
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        fh = open(tmp, "xb")
         try:
-            with os.fdopen(fd, "wb") as fh:
+            with fh:
                 fh.write(payload)
             os.replace(tmp, path)
         except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            os.unlink(tmp)
             raise
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def write_csv(path, rows) -> None:
+    """Write ``rows`` as CSV (``\\r\\n`` line ends) with :func:`atomic_write`."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    atomic_write(path, text.getvalue().encode())
 
 
 def manifest_path_for(target) -> Path:

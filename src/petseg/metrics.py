@@ -11,7 +11,6 @@ reported both as raw voxel counts and millilitres.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +19,7 @@ import numpy as np
 
 from . import nifti
 from .errors import ValidationError
+from .manifest import write_csv
 from .volume import BinaryMask, Volume3D, VolumeKind, require_same_grid
 
 CONNECTIVITIES = (6, 18, 26)
@@ -239,22 +239,19 @@ def write_metrics_csv(path, cases) -> None:
     cases.
     """
     cases = list(cases)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for m in cases:
-            writer.writerow(_row(m))
-        if cases:
-            defined = [m.dice for m in cases if m.dice is not None]
-            mean_dice = float(np.mean(defined)) if defined else float("nan")
-            writer.writerow([
-                "mean",
-                f"{mean_dice:.6f}",
-                str(len(defined)),
-                f"{np.mean([m.fpv_voxels for m in cases]):.6f}",
-                f"{np.mean([m.fpv_ml for m in cases]):.6f}",
-                f"{np.mean([m.fnv_voxels for m in cases]):.6f}",
-                f"{np.mean([m.fnv_ml for m in cases]):.6f}",
-                f"{np.mean([m.n_pred_components for m in cases]):.6f}",
-                f"{np.mean([m.n_gt_components for m in cases]):.6f}",
-            ])
+    rows = [CSV_HEADER, *map(_row, cases)]
+    if cases:
+        defined = [m.dice for m in cases if m.dice is not None]
+        mean_dice = float(np.mean(defined)) if defined else float("nan")
+        rows.append([
+            "mean",
+            f"{mean_dice:.6f}",
+            str(len(defined)),
+            f"{np.mean([m.fpv_voxels for m in cases]):.6f}",
+            f"{np.mean([m.fpv_ml for m in cases]):.6f}",
+            f"{np.mean([m.fnv_voxels for m in cases]):.6f}",
+            f"{np.mean([m.fnv_ml for m in cases]):.6f}",
+            f"{np.mean([m.n_pred_components for m in cases]):.6f}",
+            f"{np.mean([m.n_gt_components for m in cases]):.6f}",
+        ])
+    write_csv(path, rows)

@@ -25,6 +25,8 @@ outputs.
 from __future__ import annotations
 
 import json
+import os
+import signal
 import subprocess
 import tempfile
 import time
@@ -148,8 +150,9 @@ class ExternalPredictor(Predictor):
     target_spacing, output_path} is passed as the process's single
     argument. ``target_spacing`` names the grid the backend should segment
     on; the orchestrator itself never resamples. A nonzero exit or missing
-    output raises PredictorFailure. The ensemble runs its calls one at a
-    time.
+    output raises PredictorFailure, and so does a call that outlives
+    ``timeout``: the backend runs in its own session, and its whole process
+    group is killed. The ensemble runs its calls one at a time.
     """
 
     # each call starts a model process; two at once is unmeasured
@@ -185,16 +188,20 @@ class ExternalPredictor(Predictor):
             request_path.write_text(json.dumps(request, indent=2))
 
             try:
-                proc = subprocess.run(
-                    [*self.command, str(request_path)],
-                    capture_output=True,
-                    text=True,
-                    timeout=self.timeout,
-                )
-            except (OSError, subprocess.TimeoutExpired) as exc:
+                proc = subprocess.Popen([*self.command, str(request_path)], stdout=subprocess.PIPE,
+                                        stderr=subprocess.PIPE, text=True, start_new_session=True)
+            except OSError as exc:
                 raise PredictorFailure(self.name, str(exc)) from exc
+            with proc:
+                try:
+                    _, stderr = proc.communicate(timeout=self.timeout)
+                except BaseException as exc:  # a timeout or an interrupt ends the whole group
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    if isinstance(exc, subprocess.TimeoutExpired):
+                        raise PredictorFailure(self.name, str(exc)) from exc
+                    raise
             if proc.returncode != 0:
-                tail = proc.stderr.strip().splitlines()[-3:]
+                tail = stderr.strip().splitlines()[-3:]
                 raise PredictorFailure(self.name, f"exit {proc.returncode}: {' | '.join(tail)}")
             if not out_path.exists():
                 raise PredictorFailure(self.name, "backend wrote no output file")

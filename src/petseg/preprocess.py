@@ -121,23 +121,23 @@ def _sample_coords(n_in: int, n_out: int, s: float, t: float) -> np.ndarray:
     return np.clip(u, 0.0, float(n_in - 1))
 
 
-def _lerp_axis(data: np.ndarray, axis: int, n_out: int, s: float, t: float) -> np.ndarray:
-    n_in = data.shape[axis]
-    if n_in == 1:
-        return np.take(data, np.zeros(n_out, dtype=np.intp), axis=axis)
+def _axis_weights(n_in: int, n_out: int, s: float, t: float):
+    """``(lo, hi, f)`` of one axis: output j is ``in[lo[j]]·(1−f[j]) + in[hi[j]]·f[j]``.
+    A singleton axis reads index 0 twice with f = 0."""
     u = _sample_coords(n_in, n_out, s, t)
-    i0 = np.minimum(np.floor(u).astype(np.intp), n_in - 2)
-    frac = u - i0
-    wshape = [1, 1, 1]
-    wshape[axis] = n_out
-    w1 = frac.reshape(wshape)
-    w0 = 1.0 - w1
-    lo = np.take(data, i0, axis=axis)
-    np.multiply(lo, w0, out=lo)
-    hi = np.take(data, i0 + 1, axis=axis)
-    np.multiply(hi, w1, out=hi)
-    lo += hi
-    return lo
+    lo = np.minimum(np.floor(u).astype(np.intp), max(n_in - 2, 0))
+    return lo, np.minimum(lo + 1, n_in - 1), u - lo
+
+
+def _linear_pass(data: np.ndarray, axis: int, lo, hi, f) -> np.ndarray:
+    """The single-axis linear pass of ``data`` along ``axis``."""
+    w1 = f.reshape([-1 if a == axis else 1 for a in range(3)])
+    out = np.take(data, lo, axis=axis)
+    np.multiply(out, 1.0 - w1, out=out)
+    upper = np.take(data, hi, axis=axis)
+    np.multiply(upper, w1, out=upper)
+    out += upper
+    return out
 
 
 _SLAB_BUDGET_ELEMS = 1_500_000  # keep per-slab temporaries near 12 MB
@@ -151,9 +151,11 @@ def resample_trilinear(vol: Volume3D, target) -> Volume3D:
     is clipped to the input range, which the exact arithmetic already
     guarantees up to float rounding.
 
-    Work proceeds in output z-slabs (z pass on the contiguous axis first,
-    then x, then y) so transient buffers stay small enough for the
-    allocator to recycle; the result is identical to a whole-volume pass.
+    Work proceeds in output-x slabs: each takes the input x rows it needs
+    and runs the single-axis linear pass along z, then x, then y, the
+    arithmetic of a whole-volume pass. A slab holds as many x rows as fit
+    ``_SLAB_BUDGET_ELEMS`` at the larger of the input and output y·z
+    planes, so temporaries stay small when shrinking and when growing.
     """
     if vol.kind is VolumeKind.LABEL:
         raise ValidationError("trilinear resampling is not defined for LABEL volumes")
@@ -163,36 +165,16 @@ def resample_trilinear(vol: Volume3D, target) -> Volume3D:
 
     out_shape = _output_shape(vol.shape, vol.spacing, target)
     src = vol.data
-    nx_in, ny_in, nz_in = src.shape
-    nz_out = out_shape[2]
-
-    uz = _sample_coords(nz_in, nz_out, vol.spacing[2], target[2])
-    if nz_in == 1:
-        z0 = np.zeros(nz_out, dtype=np.intp)
-        fz = np.zeros(nz_out)
-    else:
-        z0 = np.minimum(np.floor(uz).astype(np.intp), nz_in - 2)
-        fz = uz - z0
-
-    # slab size such that the z-pass temporary (nx_in * ny_in * dz) stays small
-    slab = max(1, min(nz_out, _SLAB_BUDGET_ELEMS // max(1, nx_in * ny_in)))
+    (x_lo, x_hi, fx), y, z = map(_axis_weights, src.shape, out_shape, vol.spacing, target)
+    plane = max(src.shape[1], out_shape[1]) * max(src.shape[2], out_shape[2])
+    rows = max(1, _SLAB_BUDGET_ELEMS // plane)
     out = np.empty(out_shape, dtype=np.float64)
-    for k0 in range(0, nz_out, slab):
-        k1 = min(k0 + slab, nz_out)
-        if nz_in == 1:
-            a = np.broadcast_to(src, (nx_in, ny_in, k1 - k0))
-        else:
-            z_lo = int(z0[k0])
-            sub = src[:, :, z_lo : min(int(z0[k1 - 1]) + 1, nz_in - 1) + 1]
-            i0 = z0[k0:k1] - z_lo
-            f = fz[k0:k1].reshape(1, 1, -1)
-            a = np.take(sub, i0, axis=2)
-            np.multiply(a, 1.0 - f, out=a)
-            hi = np.take(sub, np.minimum(i0 + 1, sub.shape[2] - 1), axis=2)
-            np.multiply(hi, f, out=hi)
-            a += hi
-        a = _lerp_axis(a, 0, out_shape[0], vol.spacing[0], target[0])
-        out[:, :, k0:k1] = _lerp_axis(a, 1, out_shape[1], vol.spacing[1], target[1])
+    for i0 in range(0, out_shape[0], rows):
+        i1 = min(i0 + rows, out_shape[0])
+        first = int(x_lo[i0])
+        a = _linear_pass(src[first : int(x_hi[i1 - 1]) + 1], 2, *z)
+        a = _linear_pass(a, 0, x_lo[i0:i1] - first, x_hi[i0:i1] - first, fx[i0:i1])
+        out[i0:i1] = _linear_pass(a, 1, *y)
     np.clip(out, src.min(), src.max(), out=out)
     return Volume3D(out, target, vol.kind)
 

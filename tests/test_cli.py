@@ -6,9 +6,18 @@ import numpy as np
 import pytest
 
 from petseg import cli, nifti
-from petseg.discriminator import DiscriminatorModel, TrainConfig, save_mip_dataset
+from petseg.discriminator import (
+    CVResult,
+    DiscriminatorModel,
+    EpochStats,
+    TrainConfig,
+    save_mip_dataset,
+    write_cv_csv,
+    write_history_csv,
+)
 from petseg.errors import IoFailure
 from petseg.manifest import write_run_manifest
+from petseg.metrics import CaseMetrics, write_metrics_csv
 from petseg.synthdata import Hotspot, PhantomSpec, TracerStyle, make_mip_dataset, make_phantom
 from petseg.volume import Volume3D, VolumeKind
 
@@ -243,6 +252,21 @@ class TestEvaluateJobsAndUnmatched:
         assert manifest["result"]["unmatched"] == {"pred": ["a.nii"], "gt": ["a.nii.gz"]}
         assert len((tmp_path / "m.csv").read_text().splitlines()) == 4  # header + b, c + mean
 
+    def test_manifests_and_temporary_files_are_not_volumes(self, tmp_path):
+        labels = Volume3D((np.arange(64) % 2).reshape(4, 4, 4).astype(np.int32),
+                          (2.0, 2.0, 2.0), VolumeKind.LABEL)
+        nifti.write_volume(labels, tmp_path / "l.nii.gz")
+        for name in ("pred", "gt"):
+            (tmp_path / name).mkdir()
+            assert cli.main(["resample", "--in", str(tmp_path / "l.nii.gz"), "--out",
+                             str(tmp_path / name / "a.nii.gz"), "--spacing", "1",
+                             "--mode", "nearest"]) == 0
+        (tmp_path / "pred" / "a.nii.gz3f9c2d1a.tmp").write_bytes(b"partial")
+        assert self.evaluate(tmp_path / "pred", tmp_path / "gt", tmp_path / "m.csv") == 0
+        assert len((tmp_path / "m.csv").read_text().splitlines()) == 3  # header + a + mean
+        manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
+        assert manifest["result"]["unmatched"] == {"pred": [], "gt": []}
+
     def test_dotted_names_keep_distinct_case_ids(self, tmp_path):
         pred_dir, gt_dir = write_mask_dirs(tmp_path, names=("case.1.nii.gz", "case.2.nii"))
         assert self.evaluate(pred_dir, gt_dir, tmp_path / "m.csv") == 0
@@ -428,7 +452,8 @@ class TestSinglePaths:
             config = json.loads((tmp_path / f"{out}.manifest.json").read_text())["config"]
             assert config[field] == value, out
 
-    @pytest.mark.parametrize("writer", ["volume", "run_manifest", "model"])
+    @pytest.mark.parametrize("writer", ["volume", "run_manifest", "model", "metrics_csv",
+                                        "history_csv", "cv_csv", "mip_manifest"])
     def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch, writer):
         def write(variant):
             if writer == "volume":
@@ -436,8 +461,18 @@ class TestSinglePaths:
                                    tmp_path / "v.nii.gz")
             elif writer == "run_manifest":
                 write_run_manifest(tmp_path / "out.csv", "test", {"variant": variant})
-            else:
+            elif writer == "model":
                 DiscriminatorModel.fresh(seed=variant).save(tmp_path / "m.json")
+            elif writer == "metrics_csv":
+                write_metrics_csv(tmp_path / "m.csv", [CaseMetrics("a", 0.5, variant, 0.1, 0, 0.0, 1, 1)])
+            elif writer == "history_csv":
+                write_history_csv(tmp_path / "h.csv", [EpochStats(1, 0.7, 0.6, variant / 2)])
+            elif writer == "cv_csv":
+                folds = 2 + variant
+                write_cv_csv(tmp_path / "cv.csv", CVResult((1.0,) * folds, 1.0, (("a",),) * folds, ()))
+            else:  # the second manifest lists no MIP, so only the manifest write fails
+                mips = make_mip_dataset(2, 0)[: 1 - variant]
+                save_mip_dataset(tmp_path, mips)
 
         write(0)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -450,6 +485,12 @@ class TestSinglePaths:
             write(1)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_outputs_get_the_mode_open_gives(self, tmp_path):
+        (tmp_path / "plain").write_bytes(b"")
+        write_run_manifest(tmp_path / "out.csv", "test", {})
+        mode = (tmp_path / "plain").stat().st_mode
+        assert (tmp_path / "out.csv.manifest.json").stat().st_mode == mode
 
     def test_inspect_decompresses_once(self, tmp_path, monkeypatch, capsys):
         nifti.write_volume(Volume3D(np.ones((3, 3, 3)), (1, 1, 1)), tmp_path / "v.nii.gz")

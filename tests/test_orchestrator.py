@@ -1,4 +1,6 @@
 import json
+import os
+import signal
 import sys
 import textwrap
 import threading
@@ -418,6 +420,15 @@ BACKEND_SCRIPT = textwrap.dedent("""
 """)
 
 
+def running(pid: int) -> bool:
+    """Whether ``pid`` is alive and not a zombie waiting to be reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestExternalPredictor:
     def write_backend(self, tmp_path, body=None):
         script = tmp_path / "backend.py"
@@ -477,6 +488,24 @@ class TestExternalPredictor:
         pred = ExternalPredictor([sys.executable, str(script)], workdir=str(tmp_path))
         with pytest.raises(PredictorFailure):
             pred.predict(make_stack(rng, shape=(3, 3, 3)))
+
+    def test_timeout_kills_the_backends_children(self, tmp_path, rng):
+        pid_file = tmp_path / "child.pid"
+        script = tmp_path / "backend.sh"
+        script.write_text(f"sleep 60 &\necho $! > {pid_file}\nwait\n")
+        pred = ExternalPredictor(["sh", str(script)], name="slow", workdir=str(tmp_path), timeout=1.0)
+        child = None
+        try:
+            with pytest.raises(PredictorFailure):
+                pred.predict(make_stack(rng, shape=(3, 3, 3)))
+            child = int(pid_file.read_text())
+            deadline = time.monotonic() + 2.0
+            while running(child) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not running(child)
+        finally:
+            if child is not None and running(child):
+                os.kill(child, signal.SIGKILL)
 
     def test_ensemble_runs_backend_calls_one_at_a_time(self, tmp_path, rng):
         busy = str(tmp_path / "busy")

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from petseg import preprocess
 from petseg.errors import InvalidSpacing, InvalidWindow, ShapeMismatch, ValidationError
 from petseg.preprocess import (
     ChannelStack,
@@ -99,6 +102,45 @@ class TestResampleTrilinear:
         vol = random_volume(rng)
         with pytest.raises(InvalidSpacing):
             resample_trilinear(vol, (0.0, 1.0, 1.0))
+
+
+    @pytest.mark.parametrize("shape, spacing, target", [
+        ((23, 9, 11), (1.0, 2.0, 1.5), (2.5, 3.0, 2.0)),  # down on every axis
+        ((7, 6, 5), (3.0, 2.0, 2.5), (0.9, 1.1, 0.7)),  # up on every axis
+        ((1, 6, 7), (3.0, 2.0, 1.5), (0.9, 2.5, 1.0)),  # singleton slab axis
+        ((9, 5, 1), (2.0, 1.0, 4.0), (0.8, 0.5, 1.5)),  # singleton z
+    ])
+    def test_many_slabs_match_oracle_and_one_slab(self, rng, monkeypatch, shape, spacing, target):
+        vol = random_volume(rng, shape=shape, spacing=spacing)
+        whole = resample_trilinear(vol, target)
+        plane = max(shape[1], whole.shape[1]) * max(shape[2], whole.shape[2])
+        linear_pass = preprocess._linear_pass
+        z_passes = []
+
+        def counting_pass(data, axis, *weights):
+            if axis == 2:
+                z_passes.append(data.shape)
+            return linear_pass(data, axis, *weights)
+
+        monkeypatch.setattr(preprocess, "_linear_pass", counting_pass)
+        monkeypatch.setattr(preprocess, "_SLAB_BUDGET_ELEMS", plane)  # one x row per slab
+        sliced = resample_trilinear(vol, target)
+        assert len(z_passes) == whole.shape[0] >= 3
+        assert sliced.data.tobytes() == whole.data.tobytes()
+        ref = naive_trilinear(vol.data, spacing, target)
+        assert np.max(np.abs(sliced.data - ref)) < 1e-12
+
+    def test_slab_temporaries_stay_within_budget_when_upsampling(self, rng):
+        vol = random_volume(rng, shape=(50, 50, 50), spacing=(4.0, 4.0, 4.0))
+        tracemalloc.start()
+        try:
+            out = resample_trilinear(vol, (1.0, 1.0, 1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (200, 200, 200)
+        transient = peak - out.data.nbytes
+        assert transient <= 4 * preprocess._SLAB_BUDGET_ELEMS * 8, f"{transient / 1e6:.0f} MB"
 
 
 class TestResampleNearest:
