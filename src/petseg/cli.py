@@ -33,6 +33,7 @@ from .discriminator import (
     save_mip_dataset,
     train_fold,
     train_val_split,
+    training_host,
     write_cv_csv,
     write_history_csv,
     write_mip,
@@ -298,6 +299,7 @@ def cmd_train_disc(args) -> int:
         inputs=[args.manifest],
         seed=cfg.seed,
         extra={"epochs_run": len(history), "best_val_bce": min(h.val_bce for h in history)},
+        host=training_host(),
     )
     best = min(history, key=lambda h: h.val_bce)
     print(f"trained on {len(train)}+{len(val)} mips, {len(history)} epochs, "
@@ -322,6 +324,7 @@ def cmd_cv_disc(args) -> int:
             seed=cfg.seed,
             extra={"fold_accuracies": [round(a, 6) for a in result.fold_accuracies],
                    "mean_accuracy": round(result.mean_accuracy, 6)},
+            host=training_host(),
         )
     return EXIT_OK
 

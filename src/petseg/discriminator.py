@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import nifti
+from . import blas, nifti
 from .errors import DivergedLoss, EmptySplit, IoFailure, TooFewSamples, ValidationError
 from .manifest import atomic_write, write_csv
 from .nn import (
@@ -89,6 +92,7 @@ class EpochStats:
     train_bce: float
     val_bce: float
     val_acc: float
+    epoch_s: float = field(compare=False)  # wall time: not part of ==, as it varies run to run
 
 
 @dataclass(frozen=True)
@@ -129,23 +133,74 @@ def _require_input_size(shape, source) -> None:
                               f"the tracer classifier reads {MIP_SIZE}x{MIP_SIZE}")
 
 
-def _to_batch(mips) -> np.ndarray:
+# Training and evaluation split every batch into _SHARDS fixed shards, run
+# on as many threads with one BLAS thread each. The shards' gradients and
+# losses are added in shard order, so the bytes of a trained model depend
+# neither on thread timing nor on the host's BLAS thread count.
+_SHARDS = 2
+
+
+@contextmanager
+def _sharded(network: Network):
+    """For the ``with`` block: BLAS at one thread and a pool of ``_SHARDS``
+    threads, each shard with its own replica of ``network``. Yields
+    ``run(fn, mips, labels, idx)``, which calls ``fn(replica, x, y)`` for
+    each non-empty shard of the batch ``idx`` and returns the results in
+    shard order."""
+    replicas = [network.replica() for _ in range(_SHARDS)]
+    with blas.pinned(1), ThreadPoolExecutor(_SHARDS, thread_name_prefix="petseg-shard") as pool:
+        def run(fn, mips, labels, idx):
+            futures = [pool.submit(_on_shard, fn, net, mips, labels, part)
+                       for net, part in zip(replicas, np.array_split(idx, _SHARDS)) if part.size]
+            return [f.result() for f in futures]
+
+        yield run
+
+
+def _on_shard(fn, net, mips, labels, part):
+    x = np.stack([mips[i].image.pixels for i in part])[:, None, :, :]
+    return fn(net, x, labels[part])
+
+
+def _step_shard(net: Network, x, y, batch_size: int):
+    z = net.forward_logits(x)
+    loss, dz = bce_with_logits(z, y)
+    net.backward_from_logits(dz / batch_size)
+    return float(loss.sum()), net.gradients()
+
+
+def _eval_shard(net: Network, x, y):
+    z = net.forward_logits(x)
+    loss, _ = bce_with_logits(z, y)
+    return float(loss.sum()), int(np.count_nonzero((sigmoid(z) >= 0.5) == (y >= 0.5)))
+
+
+def _train_step(run, mips, labels, idx):
+    """Summed BCE and the gradients of the mean BCE over the batch ``idx``."""
+    results = run(partial(_step_shard, batch_size=len(idx)), mips, labels, idx)
+    grads = results[0][1]
+    for _, more in results[1:]:
+        grads = {name: g + more[name] for name, g in grads.items()}
+    return sum(loss for loss, _ in results), grads
+
+
+def _labels(mips) -> np.ndarray:
+    """The (N, 1) label column of ``mips``, once every MIP's size is checked."""
     for m in mips:
         _require_input_size(m.image.shape, m.case_id)
-    return np.stack([m.image.pixels for m in mips])[:, None, :, :]
+    return np.array([[m.label] for m in mips], dtype=np.float64)
 
 
-def _eval_batches(network: Network, x: np.ndarray, y: np.ndarray, batch_size: int):
-    """Mean fused BCE and decision accuracy over ``x`` in batches."""
+def _evaluate(run, mips, labels, batch_size: int):
+    """Mean fused BCE and decision accuracy over ``mips`` in batches."""
     total_loss = 0.0
     correct = 0
-    for i in range(0, x.shape[0], batch_size):
-        z = network.forward_logits(x[i : i + batch_size])
-        loss, _ = bce_with_logits(z, y[i : i + batch_size])
-        total_loss += float(loss.sum())
-        pred = sigmoid(z) >= 0.5
-        correct += int(np.count_nonzero(pred == (y[i : i + batch_size] >= 0.5)))
-    return total_loss / x.shape[0], correct / x.shape[0]
+    for i in range(0, len(mips), batch_size):
+        idx = np.arange(i, min(i + batch_size, len(mips)))
+        for loss, hits in run(_eval_shard, mips, labels, idx):
+            total_loss += loss
+            correct += hits
+    return total_loss / len(mips), correct / len(mips)
 
 
 def train_fold(train, val, cfg: TrainConfig = TrainConfig()):
@@ -165,45 +220,47 @@ def train_fold(train, val, cfg: TrainConfig = TrainConfig()):
     rng = np.random.default_rng(cfg.seed)
     network = Network(DEFAULT_ARCH, rng, input_shape=INPUT_SHAPE)
     opt = AdamW(network.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-
-    x_train = _to_batch(train)
-    y_train = np.array([[m.label] for m in train], dtype=np.float64)
-    x_val = _to_batch(val)
-    y_val = np.array([[m.label] for m in val], dtype=np.float64)
+    y_train = _labels(train)
+    y_val = _labels(val)
 
     history: list[EpochStats] = []
     best_val = np.inf
     best_params = network.snapshot()
     bad_epochs = 0
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        perm = rng.permutation(len(train))
-        epoch_loss = 0.0
-        for i in range(0, len(train), cfg.batch_size):
-            idx = perm[i : i + cfg.batch_size]
-            z = network.forward_logits(x_train[idx])
-            loss, dz = bce_with_logits(z, y_train[idx])
-            network.backward_from_logits(dz / loss.size)
-            opt.step(network.gradients())
-            epoch_loss += float(loss.sum())
-        train_bce = epoch_loss / len(train)
+    with _sharded(network) as run:
+        for epoch in range(1, cfg.max_epochs + 1):
+            t0 = time.perf_counter()
+            perm = rng.permutation(len(train))
+            epoch_loss = 0.0
+            for i in range(0, len(train), cfg.batch_size):
+                loss, grads = _train_step(run, train, y_train, perm[i : i + cfg.batch_size])
+                opt.step(grads)
+                epoch_loss += loss
+            train_bce = epoch_loss / len(train)
 
-        val_bce, val_acc = _eval_batches(network, x_val, y_val, cfg.batch_size)
-        if np.isnan(val_bce):
-            raise DivergedLoss(f"validation BCE is NaN at epoch {epoch}")
-        history.append(EpochStats(epoch, train_bce, val_bce, val_acc))
+            val_bce, val_acc = _evaluate(run, val, y_val, cfg.batch_size)
+            if np.isnan(val_bce):
+                raise DivergedLoss(f"validation BCE is NaN at epoch {epoch}")
+            history.append(EpochStats(epoch, train_bce, val_bce, val_acc, time.perf_counter() - t0))
 
-        if val_bce < best_val - 1e-6:
-            best_val = val_bce
-            best_params = network.snapshot()
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs > cfg.patience:
-                break
+            if val_bce < best_val - 1e-6:
+                best_val = val_bce
+                best_params = network.snapshot()
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+                if bad_epochs > cfg.patience:
+                    break
 
     network.set_parameters(best_params)
     return DiscriminatorModel(network, seed=cfg.seed), history
+
+
+def training_host() -> dict:
+    """The manifest's host entries on how :func:`train_fold` ran BLAS."""
+    pinned = blas.threads() is not None
+    return {"numpy": np.__version__, "blas_pinned": pinned, "train_blas_threads": 1 if pinned else None}
 
 
 def train_val_split(data, val_fraction: float, rng: np.random.Generator):
@@ -248,7 +305,12 @@ def cross_validate(data, k: int = 5, cfg: TrainConfig = TrainConfig()) -> CVResu
     if len(data) < k:
         raise TooFewSamples(f"need at least {k} samples for {k}-fold CV, got {len(data)}")
 
+    labels = _labels(data)
     folds = stratified_folds(data, k, cfg.seed)
+    if not all(folds):
+        fdg = int(np.count_nonzero(labels == 0))
+        raise ValidationError(f"k={k} leaves a fold without cases: the data hold {fdg} FDG "
+                              f"and {len(data) - fdg} PSMA cases, split per class into {k} folds")
     accuracies = []
     fold_cases = []
     histories = []
@@ -260,9 +322,8 @@ def cross_validate(data, k: int = 5, cfg: TrainConfig = TrainConfig()) -> CVResu
 
         tr, val = train_val_split(rest, cfg.val_fraction, fold_rng)
         model, history = train_fold(tr, val, replace(cfg, seed=fold_seed))
-        x_held = _to_batch(held)
-        y_held = np.array([[m.label] for m in held], dtype=np.float64)
-        _, acc = _eval_batches(model.network, x_held, y_held, cfg.batch_size)
+        with _sharded(model.network) as run:
+            _, acc = _evaluate(run, held, labels[folds[f]], cfg.batch_size)
 
         accuracies.append(acc)
         fold_cases.append(tuple(m.case_id for m in held))
@@ -290,9 +351,9 @@ def predict_tracer(model: DiscriminatorModel, mip: MipImage) -> TracerPrediction
 # dataset manifest and history I/O
 
 def write_history_csv(path, history) -> None:
-    write_csv(path, [["epoch", "train_bce", "val_bce", "val_acc"],
-                     *([r.epoch, f"{r.train_bce:.6f}", f"{r.val_bce:.6f}", f"{r.val_acc:.6f}"]
-                       for r in history)])
+    write_csv(path, [["epoch", "train_bce", "val_bce", "val_acc", "epoch_s"],
+                     *([r.epoch, f"{r.train_bce:.6f}", f"{r.val_bce:.6f}", f"{r.val_acc:.6f}",
+                        f"{r.epoch_s:.3f}"] for r in history)])
 
 
 def write_cv_csv(path, result: CVResult) -> None:

@@ -72,7 +72,9 @@ def manifest_path_for(target) -> Path:
 
 
 def write_run_manifest(target, subcommand: str, config: dict, inputs=(), seed=None,
-                       timings: dict | None = None, extra: dict | None = None) -> Path:
+                       timings: dict | None = None, extra: dict | None = None,
+                       host: dict | None = None) -> Path:
+    """Write the manifest of ``target``; ``host`` adds entries to its host section."""
     from . import __version__
 
     doc = {
@@ -87,6 +89,7 @@ def write_run_manifest(target, subcommand: str, config: dict, inputs=(), seed=No
             "platform": platform.platform(),
             "python": platform.python_version(),
             "machine": platform.machine(),
+            **(host or {}),
         },
     }
     if extra:

@@ -8,6 +8,7 @@ is realized as an im2col gather plus one matrix product per layer.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -145,27 +146,38 @@ def conv2d_forward(x, w, b, stride: int = 1, pad: int = 0):
     return y, cache
 
 
-def conv2d_backward(grad_out, cache):
-    """Gradients of conv2d_forward w.r.t. input, weights and bias."""
+def _conv2d_param_grads(grad_out, cache):
+    """``(gf, gw, gb)``: ``grad_out`` as (N, F, H'W') and the weight and bias gradients."""
     x_shape, cols, w, stride, pad, h_out, w_out = cache
-    n, c, h, wd = x_shape
-    f, _, k, _ = w.shape
+    n = x_shape[0]
+    f = w.shape[0]
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != (n, f, h_out, w_out):
         raise ShapeError(f"conv2d backward: grad shape {g.shape} != {(n, f, h_out, w_out)}")
     gf = g.reshape(n, f, h_out * w_out)
+    gw = np.matmul(gf, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    return gf, gw, gf.sum(axis=(0, 2))
 
-    gb = gf.sum(axis=(0, 2))
-    gw = np.tensordot(gf, cols, axes=([0, 2], [0, 2])).reshape(f, c, k, k)
-    gcols = w.reshape(f, c * k * k).T @ gf  # (N, C*k*k, P)
-    gwin = gcols.reshape(n, c, k, k, h_out, w_out)
 
+def conv2d_backward(grad_out, cache):
+    """Gradients of conv2d_forward w.r.t. input, weights and bias."""
+    gf, gw, gb = _conv2d_param_grads(grad_out, cache)
+    x_shape, _, w, stride, pad, h_out, w_out = cache
+    n, c, h, wd = x_shape
+    f, _, k, _ = w.shape
+    gwin = (w.reshape(f, c * k * k).T @ gf).reshape(n, c, k, k, h_out, w_out)
+
+    # col2im: the padded positions ≡ (ri, rj) mod stride form one plane,
+    # in which kernel tap (ki, kj) is a unit-stride shifted add
     gxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=np.float64)
-    for ki in range(k):
-        for kj in range(k):
-            gxp[:, :, ki : ki + stride * h_out : stride, kj : kj + stride * w_out : stride] += gwin[
-                :, :, ki, kj
-            ]
+    for ri in range(min(stride, k)):
+        for rj in range(min(stride, k)):
+            plane = np.zeros(gxp[:, :, ri::stride, rj::stride].shape, dtype=np.float64)
+            for ki in range(ri, k, stride):
+                for kj in range(rj, k, stride):
+                    qi, qj = ki // stride, kj // stride
+                    plane[:, :, qi : qi + h_out, qj : qj + w_out] += gwin[:, :, ki, kj]
+            gxp[:, :, ri::stride, rj::stride] = plane
     gx = gxp[:, :, pad : pad + h, pad : pad + wd] if pad else gxp
     return gx, gw, gb
 
@@ -261,8 +273,9 @@ class _Layer:
 class _Conv2D(_Layer):
     has_params = True
 
-    def __init__(self, spec: Conv2DSpec, rng: np.random.Generator):
+    def __init__(self, spec: Conv2DSpec, rng: np.random.Generator, input_grad: bool = True):
         self.spec = spec
+        self.input_grad = input_grad
         fan_in = spec.in_ch * spec.kernel * spec.kernel
         self.w = kaiming_uniform(rng, (spec.out_ch, spec.in_ch, spec.kernel, spec.kernel), fan_in)
         self.b = np.zeros(spec.out_ch, dtype=np.float64)
@@ -275,7 +288,11 @@ class _Conv2D(_Layer):
         return y
 
     def backward(self, g):
-        gx, self.gw, self.gb = conv2d_backward(g, self._cache)
+        cache, self._cache = self._cache, None
+        if not self.input_grad:
+            _, self.gw, self.gb = _conv2d_param_grads(g, cache)
+            return None
+        gx, self.gw, self.gb = conv2d_backward(g, cache)
         return gx
 
 
@@ -295,7 +312,8 @@ class _Linear(_Layer):
         return y
 
     def backward(self, g):
-        gx, self.gw, self.gb = linear_backward(g, self._cache)
+        cache, self._cache = self._cache, None
+        gx, self.gw, self.gb = linear_backward(g, cache)
         return gx
 
 
@@ -309,7 +327,8 @@ class _ReLU(_Layer):
         return y
 
     def backward(self, g):
-        return relu_backward(g, self._cache)
+        cache, self._cache = self._cache, None
+        return relu_backward(g, cache)
 
 
 class _Sigmoid(_Layer):
@@ -322,7 +341,8 @@ class _Sigmoid(_Layer):
         return self._y
 
     def backward(self, g):
-        return np.asarray(g) * self._y * (1.0 - self._y)
+        y, self._y = self._y, None
+        return np.asarray(g) * y * (1.0 - y)
 
 
 class _Flatten(_Layer):
@@ -352,7 +372,8 @@ class Network:
         self.layers = []
         for spec in self.specs:
             if isinstance(spec, Conv2DSpec):
-                self.layers.append(_Conv2D(spec, rng))
+                # nothing reads the gradient of the network's input
+                self.layers.append(_Conv2D(spec, rng, input_grad=bool(self.layers)))
             elif isinstance(spec, LinearSpec):
                 self.layers.append(_Linear(spec, rng))
             elif isinstance(spec, ReLUSpec):
@@ -379,12 +400,20 @@ class Network:
             x = layer.forward(x)
         return x
 
-    def backward_from_logits(self, dz):
+    def backward_from_logits(self, dz) -> None:
+        """Set every layer's parameter gradients from dL/dz of the last
+        ``forward_logits``; each layer frees its cache once used."""
         layers = self.layers[:-1] if self._has_final_sigmoid else self.layers
         g = dz
         for layer in reversed(layers):
             g = layer.backward(g)
-        return g
+
+    def replica(self) -> "Network":
+        """A network on this one's weight arrays with its own caches and
+        gradients, so that replicas can run passes at the same time."""
+        twin = copy.copy(self)
+        twin.layers = [copy.copy(layer) for layer in self.layers]
+        return twin
 
     def parameters(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}

@@ -149,7 +149,7 @@ def resample_trilinear(vol: Volume3D, target) -> Volume3D:
     Not valid for LABEL volumes (use :func:`resample_nearest`). Resampling
     at the identical spacing returns a copy of the input. The output range
     is clipped to the input range, which the exact arithmetic already
-    guarantees up to float rounding.
+    guarantees up to float rounding; the range is taken slab by slab.
 
     Work proceeds in output-x slabs: each takes the input x rows it needs
     and runs the single-axis linear pass along z, then x, then y, the
@@ -169,13 +169,20 @@ def resample_trilinear(vol: Volume3D, target) -> Volume3D:
     plane = max(src.shape[1], out_shape[1]) * max(src.shape[2], out_shape[2])
     rows = max(1, _SLAB_BUDGET_ELEMS // plane)
     out = np.empty(out_shape, dtype=np.float64)
+    lo, hi = np.inf, -np.inf
+    seen = 0  # input x rows [0, seen) are in the clip range (lo, hi)
     for i0 in range(0, out_shape[0], rows):
         i1 = min(i0 + rows, out_shape[0])
-        first = int(x_lo[i0])
-        a = _linear_pass(src[first : int(x_hi[i1 - 1]) + 1], 2, *z)
+        first, last = int(x_lo[i0]), int(x_hi[i1 - 1]) + 1
+        if seen < last:  # this slab's new rows, and any a downsampling step skipped
+            lo, hi = np.minimum(lo, src[seen:last].min()), np.maximum(hi, src[seen:last].max())
+            seen = last
+        a = _linear_pass(src[first:last], 2, *z)
         a = _linear_pass(a, 0, x_lo[i0:i1] - first, x_hi[i0:i1] - first, fx[i0:i1])
         out[i0:i1] = _linear_pass(a, 1, *y)
-    np.clip(out, src.min(), src.max(), out=out)
+    if seen < src.shape[0]:
+        lo, hi = np.minimum(lo, src[seen:].min()), np.maximum(hi, src[seen:].max())
+    np.clip(out, lo, hi, out=out)
     return Volume3D(out, target, vol.kind)
 
 

@@ -97,6 +97,25 @@ def naive_conv2d(x, w, b, stride, pad):
     return out
 
 
+def naive_conv2d_input_grad(g, w, x_shape, stride, pad):
+    """Gradient of :func:`naive_conv2d` w.r.t. its input, one tap at a time."""
+    n, c, h, wd = x_shape
+    f, _, k, _ = w.shape
+    gx = np.zeros(x_shape, dtype=np.float64)
+    for ni in range(n):
+        for fi in range(f):
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    for ci in range(c):
+                        for ki in range(k):
+                            for kj in range(k):
+                                ii = i * stride + ki - pad
+                                jj = j * stride + kj - pad
+                                if 0 <= ii < h and 0 <= jj < wd:
+                                    gx[ni, ci, ii, jj] += w[fi, ci, ki, kj] * g[ni, fi, i, j]
+    return gx
+
+
 def scalar_adamw(w, g, steps, lr, beta1, beta2, eps, weight_decay):
     """Single-scalar AdamW trajectory, written from the update equations."""
     m = 0.0

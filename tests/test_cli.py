@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -149,6 +151,49 @@ class TestSynthTrainPredict:
         lines = (tmp_path / "cv.csv").read_text().strip().splitlines()
         assert lines[0] == "fold,accuracy,held_out"
         assert lines[-1].startswith("mean,")
+
+    def test_cv_disc_fold_left_empty_exits_3(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert cli.main(["synth", "--n", "4", "--seed", "1", "--out-dir", str(corpus)]) == 0
+        common = ["cv-disc", "--manifest", str(corpus / "mip_manifest.json"), "--max-epochs", "1"]
+        capsys.readouterr()
+        assert cli.main([*common, "--k", "3"]) == 3
+        err = capsys.readouterr().err
+        assert "k=3" in err and "2 FDG and 2 PSMA" in err and "Traceback" not in err
+        assert cli.main([*common, "--k", "2"]) == 0
+
+    def test_training_manifests_record_the_blas_pin(self, tmp_path, monkeypatch, small_corpus):
+        from petseg import blas
+
+        def host(name):
+            return json.loads((tmp_path / f"{name}.manifest.json").read_text())["host"]
+
+        common = ["--manifest", str(small_corpus), "--max-epochs", "1"]
+        for pinned in (blas.threads() is not None, False):
+            if not pinned:
+                monkeypatch.setattr(blas, "_api", lambda: None)
+            assert cli.main(["train-disc", *common, "--out-model", str(tmp_path / "m.json")]) == 0
+            assert cli.main(["cv-disc", *common, "--k", "2", "--out", str(tmp_path / "cv.csv")]) == 0
+            for name in ("m.json", "cv.csv"):
+                assert host(name)["numpy"] == np.__version__
+                assert host(name)["blas_pinned"] is pinned
+                assert host(name)["train_blas_threads"] == (1 if pinned else None)
+
+    def test_train_disc_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        assert cli.main(["synth", "--n", "8", "--seed", "42", "--out-dir", str(corpus)]) == 0
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            subprocess.run([sys.executable, "-c", "import sys; from petseg.cli import main; sys.exit(main())",
+                            "train-disc", "--manifest", str(corpus / "mip_manifest.json"),
+                            "--out-model", str(out / "disc.json"), "--max-epochs", "3", "--batch-size", "5"],
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads}, check=True, timeout=120)
+            history = (out / "disc_history.csv").read_text().splitlines()
+            outputs.append(((out / "disc.json").read_bytes(), (out / "disc.bin").read_bytes(),
+                            [line.rsplit(",", 1)[0] for line in history]))  # epoch_s is a wall time
+        assert outputs[0] == outputs[1]
 
     def test_config_file_precedence(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -466,7 +511,7 @@ class TestSinglePaths:
             elif writer == "metrics_csv":
                 write_metrics_csv(tmp_path / "m.csv", [CaseMetrics("a", 0.5, variant, 0.1, 0, 0.0, 1, 1)])
             elif writer == "history_csv":
-                write_history_csv(tmp_path / "h.csv", [EpochStats(1, 0.7, 0.6, variant / 2)])
+                write_history_csv(tmp_path / "h.csv", [EpochStats(1, 0.7, 0.6, variant / 2, 1.5)])
             elif writer == "cv_csv":
                 folds = 2 + variant
                 write_cv_csv(tmp_path / "cv.csv", CVResult((1.0,) * folds, 1.0, (("a",),) * folds, ()))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from petseg import blas, discriminator
 from petseg.discriminator import (
     DEFAULT_ARCH,
     DiscriminatorModel,
@@ -15,8 +16,8 @@ from petseg.discriminator import (
     train_fold,
     write_history_csv,
 )
-from petseg.errors import EmptySplit, TooFewSamples, ValidationError
-from petseg.nn import Conv2DSpec, LinearSpec, SigmoidSpec, infer_shapes
+from petseg.errors import DivergedLoss, EmptySplit, TooFewSamples, ValidationError
+from petseg.nn import Conv2DSpec, LinearSpec, SigmoidSpec, bce_with_logits, infer_shapes
 from petseg.preprocess import MipImage
 
 
@@ -107,6 +108,44 @@ class TestTrainFold:
             assert np.array_equal(v, m2.network.parameters()[k])
 
 
+    @pytest.mark.parametrize("batch", [1, 3, 16, 17])
+    def test_sharded_gradients_match_the_full_batch(self, rng, batch):
+        data = toy_dataset(rng, batch)
+        labels = discriminator._labels(data)
+        network = DiscriminatorModel.fresh(seed=3).network
+        with discriminator._sharded(network) as run:  # batch 1 leaves the second shard empty
+            loss, grads = discriminator._train_step(run, data, labels, np.arange(batch))
+        z = network.forward_logits(np.stack([m.image.pixels for m in data])[:, None])
+        full_loss, dz = bce_with_logits(z, labels)
+        network.backward_from_logits(dz / batch)
+        assert loss == pytest.approx(float(full_loss.sum()), rel=1e-12)
+        for name, g in network.gradients().items():
+            assert np.max(np.abs(grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+
+    def test_blas_threads_pinned_and_restored(self, rng, monkeypatch):
+        if blas.threads() is None:
+            pytest.skip("numpy's OpenBLAS thread count cannot be reached here")
+        data = toy_dataset(rng, 12)
+        cfg = TrainConfig(max_epochs=1, batch_size=4)
+        seen = []
+        step_shard = discriminator._step_shard
+
+        def recording_step(*args, **kwargs):
+            seen.append(blas.threads())
+            return step_shard(*args, **kwargs)
+
+        monkeypatch.setattr(discriminator, "_step_shard", recording_step)
+        with blas.pinned(2):
+            train_fold(data[:8], data[8:], cfg)
+            assert blas.threads() == 2
+            monkeypatch.setattr(discriminator, "bce_with_logits",
+                                lambda z, y: (np.full(z.shape, np.nan), np.zeros(z.shape)))
+            with pytest.raises(DivergedLoss):
+                train_fold(data[:8], data[8:], cfg)
+            assert blas.threads() == 2
+        assert seen and set(seen) == {1}
+
+
 class TestCrossValidate:
     def test_fold_partition_10_samples(self, rng):
         data = toy_dataset(rng, 10)
@@ -130,6 +169,11 @@ class TestCrossValidate:
     def test_too_few_samples(self, rng):
         with pytest.raises(TooFewSamples):
             cross_validate(toy_dataset(rng, 3), k=5, cfg=FAST)
+
+    def test_empty_fold_rejected_before_training(self, rng, monkeypatch):
+        monkeypatch.setattr(discriminator, "train_fold", None)  # must not be reached
+        with pytest.raises(ValidationError, match=r"k=3 .* 2 FDG and 2 PSMA"):
+            cross_validate(toy_dataset(rng, 4), k=3, cfg=FAST)
 
     def test_separable_toy_cv_perfect(self, rng):
         data = toy_dataset(rng, 40)
@@ -204,5 +248,8 @@ class TestModelAndDatasetIo:
         path = tmp_path / "history.csv"
         write_history_csv(path, history)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,train_bce,val_bce,val_acc"
+        assert lines[0] == "epoch,train_bce,val_bce,val_acc,epoch_s"
         assert len(lines) == len(history) + 1
+        for line, stats in zip(lines[1:], history):
+            epoch_s = float(line.split(",")[4])
+            assert epoch_s > 0.0 and epoch_s == pytest.approx(stats.epoch_s, abs=5e-4)

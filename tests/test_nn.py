@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from petseg import nn
 from petseg.errors import ShapeError
 from petseg.nn import (
     AdamW,
@@ -28,7 +29,7 @@ from petseg.nn import (
     sigmoid,
 )
 
-from oracles import naive_conv2d, scalar_adamw
+from oracles import naive_conv2d, naive_conv2d_input_grad, scalar_adamw
 
 TINY_SPECS = (
     Conv2DSpec(1, 2, 3, 2, 1), ReLUSpec(),
@@ -100,6 +101,18 @@ class TestConv2d:
         assert gw[0, 0, 0, 0] == 3.0  # d(w*x)/dw = x
         assert gx[0, 0, 0, 0] == 2.0  # d(w*x)/dx = w
         assert gb[0] == 1.0
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_input_grad_matches_naive_reference(self, rng, stride, k, pad):
+        x = rng.standard_normal((2, 3, 7, 6))
+        w = rng.standard_normal((4, 3, k, k))
+        y, cache = conv2d_forward(x, w, np.zeros(4), stride=stride, pad=pad)
+        g = rng.standard_normal(y.shape)
+        gx, _, _ = conv2d_backward(g, cache)
+        assert gx.shape == x.shape
+        assert np.max(np.abs(gx - naive_conv2d_input_grad(g, w, x.shape, stride, pad))) < 1e-12
 
     def test_shape_error(self, rng):
         with pytest.raises(ShapeError):
@@ -262,6 +275,34 @@ class TestNetworkAndGradCheck:
         errs = gradient_relative_errors(analytic, numeric)
         worst = max(float(e.max()) for e in errs.values())
         assert worst > 0.3
+
+    def test_backward_skips_the_input_gradient_and_frees_caches(self, rng, monkeypatch):
+        calls = []
+        conv2d_backward = nn.conv2d_backward
+
+        def counting_backward(g, cache):
+            calls.append(cache[0])
+            return conv2d_backward(g, cache)
+
+        monkeypatch.setattr(nn, "conv2d_backward", counting_backward)
+        net = Network(TINY_SPECS, rng, input_shape=TINY_INPUT)
+        x = rng.standard_normal((2, *TINY_INPUT))
+        net.forward_logits(x)
+        net.backward_from_logits(np.ones((2, 1)))
+        assert calls == [(2, 2, 6, 6)]  # the second conv; the network input needs no gradient
+        assert all(getattr(layer, "_cache", None) is None for layer in net.layers)
+        assert all(g is not None for g in net.gradients().values())
+
+    def test_replica_shares_weights_but_not_gradients(self, rng):
+        net = Network(TINY_SPECS, rng, input_shape=TINY_INPUT)
+        twin = net.replica()
+        for name, arr in net.parameters().items():
+            assert twin.parameters()[name] is arr
+        x = rng.standard_normal((2, *TINY_INPUT))
+        twin.forward_logits(x)
+        twin.backward_from_logits(np.ones((2, 1)))
+        assert all(g is None for g in net.gradients().values())
+        assert all(g is not None for g in twin.gradients().values())
 
     def test_forward_matches_fused_probability(self, rng):
         net = Network(TINY_SPECS, rng, input_shape=TINY_INPUT)

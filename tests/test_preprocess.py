@@ -130,6 +130,19 @@ class TestResampleTrilinear:
         ref = naive_trilinear(vol.data, spacing, target)
         assert np.max(np.abs(sliced.data - ref)) < 1e-12
 
+    @pytest.mark.parametrize("row", [0, 3, 6, 9, 10])  # head, gaps and tail
+    def test_clip_range_holds_rows_no_slab_reads(self, monkeypatch, row):
+        # 11 rows at 1 mm to 3.2 mm, one output row per slab: the slabs read
+        # input rows 1-2, 4-5 and 7-8; the others hold the input maximum
+        _, _, f = preprocess._axis_weights(11, 3, 1.0, 3.2)
+        c = next(c for c in np.linspace(0.1, 1.0, 1000) if np.any(c * (1 - f) + c * f > c))
+        data = np.full((11, 1, 1), c)
+        data[row] = 2 * c
+        monkeypatch.setattr(preprocess, "_SLAB_BUDGET_ELEMS", 1)
+        out = resample_trilinear(Volume3D(data, (1.0, 1.0, 1.0)), (3.2, 1.0, 1.0))
+        # c lerped with itself rounds above c, and the input range keeps it
+        assert out.data[:, 0, 0].tolist() == (c * (1 - f) + c * f).tolist()
+
     def test_slab_temporaries_stay_within_budget_when_upsampling(self, rng):
         vol = random_volume(rng, shape=(50, 50, 50), spacing=(4.0, 4.0, 4.0))
         tracemalloc.start()
