@@ -143,15 +143,14 @@ _SHARDS = 2
 @contextmanager
 def _sharded(network: Network):
     """For the ``with`` block: BLAS at one thread and a pool of ``_SHARDS``
-    threads, each shard with its own replica of ``network``. Yields
-    ``run(fn, mips, labels, idx)``, which calls ``fn(replica, x, y)`` for
-    each non-empty shard of the batch ``idx`` and returns the results in
-    shard order."""
-    replicas = [network.replica() for _ in range(_SHARDS)]
+    threads. Yields ``run(fn, mips, labels, idx)``, which calls
+    ``fn(network, x, y)`` for each non-empty shard of the batch ``idx`` and
+    returns the results in shard order. The shards share the weights of
+    ``network``; each pass keeps its own state."""
     with blas.pinned(1), ThreadPoolExecutor(_SHARDS, thread_name_prefix="petseg-shard") as pool:
         def run(fn, mips, labels, idx):
-            futures = [pool.submit(_on_shard, fn, net, mips, labels, part)
-                       for net, part in zip(replicas, np.array_split(idx, _SHARDS)) if part.size]
+            futures = [pool.submit(_on_shard, fn, network, mips, labels, part)
+                       for part in np.array_split(idx, _SHARDS) if part.size]
             return [f.result() for f in futures]
 
         yield run
@@ -163,10 +162,8 @@ def _on_shard(fn, net, mips, labels, part):
 
 
 def _step_shard(net: Network, x, y, batch_size: int):
-    z = net.forward_logits(x)
-    loss, dz = bce_with_logits(z, y)
-    net.backward_from_logits(dz / batch_size)
-    return float(loss.sum()), net.gradients()
+    loss, grads = net.loss_and_gradients(x, y, batch_size)
+    return float(loss.sum()), grads
 
 
 def _eval_shard(net: Network, x, y):
@@ -260,7 +257,7 @@ def train_fold(train, val, cfg: TrainConfig = TrainConfig()):
 def training_host() -> dict:
     """The manifest's host entries on how :func:`train_fold` ran BLAS."""
     pinned = blas.threads() is not None
-    return {"numpy": np.__version__, "blas_pinned": pinned, "train_blas_threads": 1 if pinned else None}
+    return {"blas_pinned": pinned, "train_blas_threads": 1 if pinned else None}
 
 
 def train_val_split(data, val_fraction: float, rng: np.random.Generator):

@@ -18,6 +18,9 @@ import platform
 import secrets
 from pathlib import Path
 
+import numpy as np
+
+from . import blas
 from .errors import IoFailure
 
 TOOL_NAME = "petseg"
@@ -89,6 +92,8 @@ def write_run_manifest(target, subcommand: str, config: dict, inputs=(), seed=No
             "platform": platform.platform(),
             "python": platform.python_version(),
             "machine": platform.machine(),
+            "numpy": np.__version__,
+            "blas_threads": blas.threads(),
             **(host or {}),
         },
     }

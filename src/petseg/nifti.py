@@ -254,18 +254,18 @@ def decode_volume(buf: bytes, header: NiftiHeader, kind: VolumeKind | None = Non
 
 
 def _file_dtype_for(vol: Volume3D, dtype: str | None) -> int:
+    label = vol.kind is VolumeKind.LABEL
+    vmax = int(vol.data.max()) if label and vol.data.size else 0
     if dtype is not None:
         by_name = {"uint8": 2, "int16": 4, "float32": 16, "float64": 64}
         if dtype not in by_name:
             raise UnsupportedDatatype(dtype)
         code = by_name[dtype]
-    elif vol.kind is VolumeKind.LABEL:
-        vmax = int(vol.data.max()) if vol.data.size else 0
+    elif label:
         code = 2 if vmax <= 255 else 4
     else:
         code = 16
-    if vol.kind is VolumeKind.LABEL:
-        vmax = int(vol.data.max()) if vol.data.size else 0
+    if label:
         limit = {2: 255, 4: 32767, 16: 2**24, 64: 2**53}[code]
         if vmax > limit:
             raise LabelOverflow(f"label value {vmax} exceeds {limit} for datatype code {code}")

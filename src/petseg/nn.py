@@ -4,13 +4,17 @@ Everything here runs in float64 so that analytic gradients can be verified
 against central finite differences to tight tolerances. Convolution uses
 the cross-correlation convention (no kernel flip) with zero padding, and
 is realized as an im2col gather plus one matrix product per layer.
+
+A :class:`Network` holds its layer specs and weights and nothing else.
+Each pass calls the functional kernels, looked up on this module at call
+time, and keeps its layer caches in the call: passes share the weights
+and may run at the same time.
 """
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -67,10 +71,20 @@ _SPEC_KINDS = {
 
 
 def spec_from_dict(d: dict) -> LayerSpec:
-    kind = d.get("kind")
+    """The spec that ``asdict`` turned into ``d``. An unknown kind, or a size
+    that is not an integer >= 1 (>= 0 for ``pad``), raises ShapeError; an
+    unknown field raises TypeError."""
+    kind = d.get("kind") if isinstance(d, dict) else None
     if kind not in _SPEC_KINDS:
         raise ShapeError(f"unknown layer kind {kind!r}")
-    return _SPEC_KINDS[kind](**d)
+    spec = _SPEC_KINDS[kind](**d)
+    for f in fields(spec):
+        if f.name == "kind":
+            continue
+        value, least = getattr(spec, f.name), 0 if f.name == "pad" else 1
+        if type(value) is not int or value < least:
+            raise ShapeError(f"{kind} {f.name} is {value!r}, not an integer >= {least}")
+    return spec
 
 
 def infer_shapes(specs, input_shape) -> list[tuple[int, ...]]:
@@ -251,7 +265,7 @@ def bce_with_logits(z, y):
 
 
 # ---------------------------------------------------------------------------
-# layers with state
+# the network: layer specs and weights, with the state of each pass in the call
 
 def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     # ReLU gain sqrt(2): bound = sqrt(2) * sqrt(3 / fan_in)
@@ -259,176 +273,109 @@ def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-class _Layer:
-    spec: LayerSpec
-    has_params = False
-
-    def forward(self, x):
-        raise NotImplementedError
-
-    def backward(self, g):
-        raise NotImplementedError
-
-
-class _Conv2D(_Layer):
-    has_params = True
-
-    def __init__(self, spec: Conv2DSpec, rng: np.random.Generator, input_grad: bool = True):
-        self.spec = spec
-        self.input_grad = input_grad
-        fan_in = spec.in_ch * spec.kernel * spec.kernel
-        self.w = kaiming_uniform(rng, (spec.out_ch, spec.in_ch, spec.kernel, spec.kernel), fan_in)
-        self.b = np.zeros(spec.out_ch, dtype=np.float64)
-        self.gw = None
-        self.gb = None
-        self._cache = None
-
-    def forward(self, x):
-        y, self._cache = conv2d_forward(x, self.w, self.b, self.spec.stride, self.spec.pad)
-        return y
-
-    def backward(self, g):
-        cache, self._cache = self._cache, None
-        if not self.input_grad:
-            _, self.gw, self.gb = _conv2d_param_grads(g, cache)
-            return None
-        gx, self.gw, self.gb = conv2d_backward(g, cache)
-        return gx
-
-
-class _Linear(_Layer):
-    has_params = True
-
-    def __init__(self, spec: LinearSpec, rng: np.random.Generator):
-        self.spec = spec
-        self.w = kaiming_uniform(rng, (spec.out_features, spec.in_features), spec.in_features)
-        self.b = np.zeros(spec.out_features, dtype=np.float64)
-        self.gw = None
-        self.gb = None
-        self._cache = None
-
-    def forward(self, x):
-        y, self._cache = linear_forward(x, self.w, self.b)
-        return y
-
-    def backward(self, g):
-        cache, self._cache = self._cache, None
-        gx, self.gw, self.gb = linear_backward(g, cache)
-        return gx
-
-
-class _ReLU(_Layer):
-    def __init__(self, spec: ReLUSpec):
-        self.spec = spec
-        self._cache = None
-
-    def forward(self, x):
-        y, self._cache = relu_forward(x)
-        return y
-
-    def backward(self, g):
-        cache, self._cache = self._cache, None
-        return relu_backward(g, cache)
-
-
-class _Sigmoid(_Layer):
-    def __init__(self, spec: SigmoidSpec):
-        self.spec = spec
-        self._y = None
-
-    def forward(self, x):
-        self._y = sigmoid(x)
-        return self._y
-
-    def backward(self, g):
-        y, self._y = self._y, None
-        return np.asarray(g) * y * (1.0 - y)
-
-
-class _Flatten(_Layer):
-    def __init__(self, spec: FlattenSpec):
-        self.spec = spec
-        self._shape = None
-
-    def forward(self, x):
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, g):
-        return np.asarray(g).reshape(self._shape)
+def _param_names(i: int, spec) -> tuple[str, str]:
+    return f"{i:02d}_{spec.kind}.w", f"{i:02d}_{spec.kind}.b"
 
 
 class Network:
-    """An ordered layer stack with explicit forward/backward passes.
+    """An ordered layer stack: its specs, and the weight and bias arrays of
+    its conv and linear layers (``weights[i]``, None for the other layers).
 
-    ``forward_logits`` stops before a trailing sigmoid so that training can
-    use the fused logit BCE; ``forward`` applies the full stack.
+    A pass keeps its layer caches in the call and only reads the weights,
+    so passes over one network may run at the same time. ``forward_logits``
+    stops before a trailing sigmoid so that training can use the fused
+    logit BCE; ``forward`` applies the full stack; ``loss_and_gradients``
+    runs one training pass.
     """
 
     def __init__(self, specs, rng: np.random.Generator, input_shape=None):
         if input_shape is not None:
             infer_shapes(specs, input_shape)  # composition check
         self.specs = tuple(specs)
-        self.layers = []
+        self.weights: list[tuple[np.ndarray, np.ndarray] | None] = []
         for spec in self.specs:
             if isinstance(spec, Conv2DSpec):
-                # nothing reads the gradient of the network's input
-                self.layers.append(_Conv2D(spec, rng, input_grad=bool(self.layers)))
+                shape = (spec.out_ch, spec.in_ch, spec.kernel, spec.kernel)
+                fan_in = spec.in_ch * spec.kernel * spec.kernel
             elif isinstance(spec, LinearSpec):
-                self.layers.append(_Linear(spec, rng))
-            elif isinstance(spec, ReLUSpec):
-                self.layers.append(_ReLU(spec))
-            elif isinstance(spec, SigmoidSpec):
-                self.layers.append(_Sigmoid(spec))
-            elif isinstance(spec, FlattenSpec):
-                self.layers.append(_Flatten(spec))
+                shape, fan_in = (spec.out_features, spec.in_features), spec.in_features
+            elif isinstance(spec, (ReLUSpec, SigmoidSpec, FlattenSpec)):
+                self.weights.append(None)
+                continue
             else:
                 raise ShapeError(f"unknown layer spec {spec!r}")
+            self.weights.append((kaiming_uniform(rng, shape, fan_in), np.zeros(shape[0])))
 
     @property
-    def _has_final_sigmoid(self) -> bool:
-        return bool(self.layers) and isinstance(self.layers[-1], _Sigmoid)
+    def _logit_layers(self) -> int:
+        """How many layers lead to the logit: all but a trailing sigmoid."""
+        if self.specs and isinstance(self.specs[-1], SigmoidSpec):
+            return len(self.specs) - 1
+        return len(self.specs)
+
+    def _layer_forward(self, i: int, x):
+        """Layer ``i``'s output for ``x`` and the cache its backward reads."""
+        spec = self.specs[i]
+        if isinstance(spec, Conv2DSpec):
+            return conv2d_forward(x, *self.weights[i], spec.stride, spec.pad)
+        if isinstance(spec, LinearSpec):
+            return linear_forward(x, *self.weights[i])
+        if isinstance(spec, ReLUSpec):
+            return relu_forward(x)
+        if isinstance(spec, FlattenSpec):
+            return x.reshape(x.shape[0], -1), x.shape
+        y = sigmoid(x)
+        return y, y
+
+    def _forward(self, x, layers: int):
+        for i in range(layers):
+            x, _ = self._layer_forward(i, x)
+        return x
 
     def forward(self, x):
-        for layer in self.layers:
-            x = layer.forward(x)
-        return x
+        return self._forward(x, len(self.specs))
 
     def forward_logits(self, x):
-        layers = self.layers[:-1] if self._has_final_sigmoid else self.layers
-        for layer in layers:
-            x = layer.forward(x)
-        return x
+        return self._forward(x, self._logit_layers)
 
-    def backward_from_logits(self, dz) -> None:
-        """Set every layer's parameter gradients from dL/dz of the last
-        ``forward_logits``; each layer frees its cache once used."""
-        layers = self.layers[:-1] if self._has_final_sigmoid else self.layers
-        g = dz
-        for layer in reversed(layers):
-            g = layer.backward(g)
+    def loss_and_gradients(self, x, y, n):
+        """The fused BCE of each logit of ``x`` against the labels ``y``, and
+        the gradients of ``sum(loss) / n`` by parameter name.
 
-    def replica(self) -> "Network":
-        """A network on this one's weight arrays with its own caches and
-        gradients, so that replicas can run passes at the same time."""
-        twin = copy.copy(self)
-        twin.layers = [copy.copy(layer) for layer in self.layers]
-        return twin
+        The forward pass puts each layer's cache on a tape local to this
+        call; the backward pass pops each cache as it uses it. The network's
+        input gets no gradient.
+        """
+        tape = []
+        for i in range(self._logit_layers):
+            x, cache = self._layer_forward(i, x)
+            tape.append(cache)
+        loss, dz = bce_with_logits(x, y)
+        g = dz / n
+        grads = {}
+        for i in reversed(range(len(tape))):
+            spec, cache = self.specs[i], tape.pop()
+            if isinstance(spec, ReLUSpec):
+                g = relu_backward(g, cache)
+            elif isinstance(spec, FlattenSpec):
+                g = g.reshape(cache)
+            elif isinstance(spec, SigmoidSpec):
+                g = g * cache * (1.0 - cache)
+            else:
+                if isinstance(spec, LinearSpec):
+                    g, gw, gb = linear_backward(g, cache)
+                elif i:
+                    g, gw, gb = conv2d_backward(g, cache)
+                else:  # nothing reads the gradient of the network's input
+                    _, gw, gb = _conv2d_param_grads(g, cache)
+                grads.update(zip(_param_names(i, spec), (gw, gb)))
+        return loss, grads
 
     def parameters(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.layers):
-            if layer.has_params:
-                out[f"{i:02d}_{layer.spec.kind}.w"] = layer.w
-                out[f"{i:02d}_{layer.spec.kind}.b"] = layer.b
-        return out
-
-    def gradients(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.layers):
-            if layer.has_params:
-                out[f"{i:02d}_{layer.spec.kind}.w"] = layer.gw
-                out[f"{i:02d}_{layer.spec.kind}.b"] = layer.gb
+        for i, (spec, wb) in enumerate(zip(self.specs, self.weights)):
+            if wb is not None:
+                out.update(zip(_param_names(i, spec), wb))
         return out
 
     def set_parameters(self, params: dict[str, np.ndarray]):
@@ -495,10 +442,7 @@ def fused_loss(net: Network, x, y) -> float:
 
 
 def analytic_gradients(net: Network, x, y) -> dict[str, np.ndarray]:
-    z = net.forward_logits(x)
-    loss, dz = bce_with_logits(z, y)
-    net.backward_from_logits(dz / loss.size)
-    return {k: v.copy() for k, v in net.gradients().items()}
+    return net.loss_and_gradients(x, y, np.size(y))[1]
 
 
 def numeric_gradients(net: Network, x, y, h: float = 1e-5) -> dict[str, np.ndarray]:
@@ -570,20 +514,28 @@ def save_model(manifest_path, params: dict[str, np.ndarray], specs, seed: int | 
 
 
 def load_model(manifest_path):
-    """Inverse of :func:`save_model`; returns (params, specs, manifest)."""
+    """Inverse of :func:`save_model`; returns (params, specs, manifest).
+
+    A manifest or blob that cannot be read or parsed, a tensor that runs
+    past the end of the blob, a malformed layer and a NaN or Inf weight
+    each raise IoFailure naming the manifest."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
         blob = (manifest_path.parent / manifest["blob"]).read_bytes()
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        if manifest.get("format") != WEIGHTS_FORMAT:
+            raise ValueError(f"unsupported weights format {manifest.get('format')!r}")
+        params = {t["name"]: _read_tensor(blob, t) for t in manifest["tensors"]}
+        specs = tuple(spec_from_dict(d) for d in manifest["architecture"])
+    except (OSError, KeyError, TypeError, ValueError, ShapeError) as exc:
         raise IoFailure(f"cannot load model from {manifest_path}: {exc}") from exc
-    if manifest.get("format") != WEIGHTS_FORMAT:
-        raise IoFailure(f"unsupported weights format {manifest.get('format')!r}")
-    params = {}
-    for t in manifest["tensors"]:
-        shape = tuple(t["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=t["offset"])
-        params[t["name"]] = arr.reshape(shape).astype(np.float64)
-    specs = tuple(spec_from_dict(d) for d in manifest["architecture"])
     return params, specs, manifest
+
+
+def _read_tensor(blob: bytes, entry: dict) -> np.ndarray:
+    shape = tuple(entry["shape"])
+    count = int(np.prod(shape)) if shape else 1
+    arr = np.frombuffer(blob, dtype="<f8", count=count, offset=entry["offset"])
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"tensor {entry['name']!r} holds NaN or Inf")
+    return arr.reshape(shape).astype(np.float64)

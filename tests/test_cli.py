@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from petseg import cli, nifti
+from petseg import blas, cli, nifti
 from petseg.discriminator import (
     CVResult,
     DiscriminatorModel,
@@ -349,6 +349,8 @@ class TestRunEndToEnd:
         assert mask.kind is VolumeKind.LABEL
         manifest = json.loads((tmp_path / "out" / "mask.nii.gz.manifest.json").read_text())
         assert manifest["subcommand"] == "run"
+        assert manifest["host"]["numpy"] == np.__version__
+        assert manifest["host"]["blas_threads"] == blas.threads()
         assert manifest["result"]["tracer"] == "PSMA"
         assert manifest["result"]["tta_used"] == ["identity", "z"]
         assert len(manifest["result"]["invocations"]) == 4  # 2 folds x 2 flips
@@ -421,6 +423,34 @@ class TestErrorsAndHelp:
             "--config", str(cfg),
         ])
         assert rc == 4
+
+    @pytest.mark.parametrize("corruption", ["short_blob", "no_tensors", "unknown_field",
+                                            "stride_not_int", "nan_bias"])
+    def test_malformed_model_exits_2(self, tmp_path, capsys, corruption):
+        write_phantom_files(tmp_path)
+        model_path = zero_model(tmp_path)
+        blob_path = model_path.with_suffix(".bin")
+        doc = json.loads(model_path.read_text())
+        blob = blob_path.read_bytes()
+        if corruption == "short_blob":
+            blob = blob[:-8]
+        elif corruption == "no_tensors":
+            del doc["tensors"]
+        elif corruption == "unknown_field":
+            doc["architecture"][0]["dilation"] = 2
+        elif corruption == "stride_not_int":
+            doc["architecture"][0]["stride"] = "x"
+        else:  # the last layer's bias; with zero weights the probability would be NaN
+            last = doc["tensors"][-1]
+            assert last["name"].endswith("_linear.b")
+            blob = blob[: last["offset"]] + np.array([np.nan], "<f8").tobytes() + blob[last["offset"] + 8:]
+        model_path.write_text(json.dumps(doc))
+        blob_path.write_bytes(blob)
+        capsys.readouterr()
+        rc = cli.main(["predict-tracer", "--model", str(model_path), "--pet", str(tmp_path / "pet.nii.gz")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(model_path) in err and "Traceback" not in err
 
     def test_usage_error_exit_1(self):
         with pytest.raises(SystemExit) as err:

@@ -17,7 +17,7 @@ from petseg.discriminator import (
     write_history_csv,
 )
 from petseg.errors import DivergedLoss, EmptySplit, TooFewSamples, ValidationError
-from petseg.nn import Conv2DSpec, LinearSpec, SigmoidSpec, bce_with_logits, infer_shapes
+from petseg.nn import Conv2DSpec, LinearSpec, SigmoidSpec, infer_shapes
 from petseg.preprocess import MipImage
 
 
@@ -115,11 +115,10 @@ class TestTrainFold:
         network = DiscriminatorModel.fresh(seed=3).network
         with discriminator._sharded(network) as run:  # batch 1 leaves the second shard empty
             loss, grads = discriminator._train_step(run, data, labels, np.arange(batch))
-        z = network.forward_logits(np.stack([m.image.pixels for m in data])[:, None])
-        full_loss, dz = bce_with_logits(z, labels)
-        network.backward_from_logits(dz / batch)
+        x = np.stack([m.image.pixels for m in data])[:, None]
+        full_loss, full_grads = network.loss_and_gradients(x, labels, batch)
         assert loss == pytest.approx(float(full_loss.sum()), rel=1e-12)
-        for name, g in network.gradients().items():
+        for name, g in full_grads.items():
             assert np.max(np.abs(grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
 
     def test_blas_threads_pinned_and_restored(self, rng, monkeypatch):

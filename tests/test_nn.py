@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from petseg import nn
+from petseg.discriminator import DEFAULT_ARCH, INPUT_SHAPE, DiscriminatorModel
 from petseg.errors import ShapeError
 from petseg.nn import (
     AdamW,
@@ -276,7 +280,7 @@ class TestNetworkAndGradCheck:
         worst = max(float(e.max()) for e in errs.values())
         assert worst > 0.3
 
-    def test_backward_skips_the_input_gradient_and_frees_caches(self, rng, monkeypatch):
+    def test_loss_and_gradients_skips_the_input_gradient(self, rng, monkeypatch):
         calls = []
         conv2d_backward = nn.conv2d_backward
 
@@ -287,22 +291,75 @@ class TestNetworkAndGradCheck:
         monkeypatch.setattr(nn, "conv2d_backward", counting_backward)
         net = Network(TINY_SPECS, rng, input_shape=TINY_INPUT)
         x = rng.standard_normal((2, *TINY_INPUT))
-        net.forward_logits(x)
-        net.backward_from_logits(np.ones((2, 1)))
+        loss, grads = net.loss_and_gradients(x, np.ones((2, 1)), 2)
         assert calls == [(2, 2, 6, 6)]  # the second conv; the network input needs no gradient
-        assert all(getattr(layer, "_cache", None) is None for layer in net.layers)
-        assert all(g is not None for g in net.gradients().values())
+        assert loss.shape == (2, 1)
+        assert set(grads) == set(net.parameters())
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
 
-    def test_replica_shares_weights_but_not_gradients(self, rng):
+    def test_passes_share_the_weights_and_return_their_gradients(self, rng):
         net = Network(TINY_SPECS, rng, input_shape=TINY_INPUT)
-        twin = net.replica()
+        before = net.snapshot()
+        weights = net.parameters()
+        _, grads = net.loss_and_gradients(rng.standard_normal((2, *TINY_INPUT)), np.ones((2, 1)), 2)
         for name, arr in net.parameters().items():
-            assert twin.parameters()[name] is arr
-        x = rng.standard_normal((2, *TINY_INPUT))
-        twin.forward_logits(x)
-        twin.backward_from_logits(np.ones((2, 1)))
-        assert all(g is None for g in net.gradients().values())
-        assert all(g is not None for g in twin.gradients().values())
+            assert arr is weights[name] and np.array_equal(arr, before[name])
+            assert not np.shares_memory(grads[name], arr)
+        assert set(vars(net)) == {"specs", "weights"}
+
+    def test_concurrent_passes_give_the_serial_bits(self, rng):
+        net = DiscriminatorModel.fresh(seed=0).network
+        batches = [(rng.uniform(size=(2, *INPUT_SHAPE)), np.array([[k % 2], [1 - k % 2]], float))
+                   for k in range(3)]  # three threads, more than the two training shards
+        serial = [net.loss_and_gradients(x, y, 2) for x, y in batches]
+        barrier = threading.Barrier(len(batches))
+        results = [[] for _ in batches]
+
+        def passes(k):
+            barrier.wait()
+            for _ in range(3):
+                results[k].append(net.loss_and_gradients(*batches[k], 2))
+
+        threads = [threading.Thread(target=passes, args=(k,)) for k in range(len(batches))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for (loss, grads), runs in zip(serial, results):
+            assert len(runs) == 3
+            for run_loss, run_grads in runs:
+                assert np.array_equal(run_loss, loss)
+                assert all(np.array_equal(run_grads[k], g) for k, g in grads.items())
+
+    def test_forward_leaves_only_the_weights_on_the_network(self, rng):
+        net = Network(TINY_SPECS, rng, input_shape=TINY_INPUT)
+        net.forward(rng.standard_normal((2, *TINY_INPUT)))
+        assert set(vars(net)) == {"specs", "weights"}
+        held = [arr for wb in net.weights if wb is not None for arr in wb]
+        assert sorted(map(id, held)) == sorted(map(id, net.parameters().values()))
+
+    def test_kernels_are_looked_up_on_the_module_per_call(self, monkeypatch):
+        # perfbench's tracing wraps these four module attributes to time each layer
+        counts = {}
+        for name in ("conv2d_forward", "conv2d_backward", "linear_forward", "linear_backward"):
+            def counting(*args, _kernel=getattr(nn, name), _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _kernel(*args)
+
+            monkeypatch.setattr(nn, name, counting)
+        net = DiscriminatorModel.fresh(seed=0).network
+        assert net.specs == DEFAULT_ARCH
+        x = np.random.default_rng(0).uniform(size=(2, *INPUT_SHAPE))
+        net.loss_and_gradients(x, np.array([[0.0], [1.0]]), 2)
+        # the first conv's backward goes through _conv2d_param_grads
+        assert counts == {"conv2d_forward": 6, "conv2d_backward": 5,
+                          "linear_forward": 5, "linear_backward": 5}
 
     def test_forward_matches_fused_probability(self, rng):
         net = Network(TINY_SPECS, rng, input_shape=TINY_INPUT)
