@@ -192,9 +192,7 @@ def _write_manifest(args, target, config: dict, timings: dict | None = None, **f
 # subcommands
 
 def cmd_inspect(args) -> int:
-    buf = nifti._read_bytes(args.volume)
-    header = nifti.parse_header(buf)
-    vol = nifti.decode_volume(buf, header, source=args.volume)
+    header, vol = nifti.read_header_and_volume(args.volume)
     print(f"path:        {args.volume}")
     print(f"shape:       {header.shape}")
     print(f"spacing_mm:  {tuple(round(s, 6) for s in header.spacing)}")
@@ -228,10 +226,18 @@ def cmd_resample(args) -> int:
     return EXIT_OK
 
 
+def _read_ct_pet(args):
+    """``args.ct`` and ``args.pet``, read at once on two threads (zlib and
+    numpy release the GIL). If both fail, the CT error is the one raised."""
+    with ThreadPoolExecutor(max_workers=2, thread_name_prefix="petseg-read") as pool:
+        ct = pool.submit(nifti.read_volume, args.ct, kind=VolumeKind.CT_HU)
+        pet = pool.submit(nifti.read_volume, args.pet, kind=VolumeKind.PET_SUV)
+        return ct.result(), pet.result()
+
+
 def cmd_window(args) -> int:
     window = WindowSpec(args.pet_lo, args.pet_hi, args.ct_lo, args.ct_hi)
-    ct = nifti.read_volume(args.ct, kind=VolumeKind.CT_HU)
-    pet = nifti.read_volume(args.pet, kind=VolumeKind.PET_SUV)
+    ct, pet = _read_ct_pet(args)
     stack = build_channels(ct, pet, window)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -446,8 +452,7 @@ def cmd_run(args) -> int:
                             "tta_flips": ens.tta_flips, "reduced_flips": ens.reduced_flips}
     window = WindowSpec(**_resolve(dataclasses.asdict(WindowSpec()), {"window.": doc.get("window", {})}))
 
-    ct = nifti.read_volume(args.ct, kind=VolumeKind.CT_HU)
-    pet = nifti.read_volume(args.pet, kind=VolumeKind.PET_SUV)
+    ct, pet = _read_ct_pet(args)
     disc = DiscriminatorModel.load(args.disc_model)
 
     result = route(ct, pet, disc, ensembles["fdg"], ensembles["psma"], window=window)

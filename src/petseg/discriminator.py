@@ -119,11 +119,8 @@ class DiscriminatorModel:
 
     @classmethod
     def load(cls, manifest_path) -> "DiscriminatorModel":
-        params, specs, manifest = load_model(manifest_path)
-        model = cls.fresh(seed=manifest.get("seed") or 0, specs=specs)
-        model.network.set_parameters(params)
-        model.seed = manifest.get("seed")
-        return model
+        params, specs, manifest = load_model(manifest_path, INPUT_SHAPE)
+        return cls(Network(specs, params=params), seed=manifest.get("seed"))
 
 
 def _require_input_size(shape, source) -> None:

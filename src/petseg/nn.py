@@ -288,7 +288,9 @@ class Network:
     runs one training pass.
     """
 
-    def __init__(self, specs, rng: np.random.Generator, input_shape=None):
+    def __init__(self, specs, rng: np.random.Generator | None = None, input_shape=None, params=None):
+        """Kaiming-initialised from ``rng``, or holding ``params`` ({name:
+        array}, as :meth:`parameters` names them) with no initialisation."""
         if input_shape is not None:
             infer_shapes(specs, input_shape)  # composition check
         self.specs = tuple(specs)
@@ -296,15 +298,20 @@ class Network:
         for spec in self.specs:
             if isinstance(spec, Conv2DSpec):
                 shape = (spec.out_ch, spec.in_ch, spec.kernel, spec.kernel)
-                fan_in = spec.in_ch * spec.kernel * spec.kernel
             elif isinstance(spec, LinearSpec):
-                shape, fan_in = (spec.out_features, spec.in_features), spec.in_features
+                shape = (spec.out_features, spec.in_features)
             elif isinstance(spec, (ReLUSpec, SigmoidSpec, FlattenSpec)):
                 self.weights.append(None)
                 continue
             else:
                 raise ShapeError(f"unknown layer spec {spec!r}")
-            self.weights.append((kaiming_uniform(rng, shape, fan_in), np.zeros(shape[0])))
+            if params is None:
+                w = kaiming_uniform(rng, shape, int(np.prod(shape[1:])))
+                self.weights.append((w, np.zeros(shape[0])))
+            else:
+                self.weights.append((np.empty(shape), np.empty(shape[0])))
+        if params is not None:
+            self.set_parameters(params)
 
     @property
     def _logit_layers(self) -> int:
@@ -513,12 +520,13 @@ def save_model(manifest_path, params: dict[str, np.ndarray], specs, seed: int | 
     atomic_write(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
-def load_model(manifest_path):
+def load_model(manifest_path, input_shape=None):
     """Inverse of :func:`save_model`; returns (params, specs, manifest).
 
     A manifest or blob that cannot be read or parsed, a tensor that runs
-    past the end of the blob, a malformed layer and a NaN or Inf weight
-    each raise IoFailure naming the manifest."""
+    past the end of the blob, a malformed layer, layers that do not
+    compose on ``input_shape`` (when given) and a NaN or Inf weight each
+    raise IoFailure naming the manifest."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -527,6 +535,8 @@ def load_model(manifest_path):
             raise ValueError(f"unsupported weights format {manifest.get('format')!r}")
         params = {t["name"]: _read_tensor(blob, t) for t in manifest["tensors"]}
         specs = tuple(spec_from_dict(d) for d in manifest["architecture"])
+        if input_shape is not None:
+            infer_shapes(specs, input_shape)
     except (OSError, KeyError, TypeError, ValueError, ShapeError) as exc:
         raise IoFailure(f"cannot load model from {manifest_path}: {exc}") from exc
     return params, specs, manifest

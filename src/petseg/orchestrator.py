@@ -14,12 +14,14 @@ The (fold, flip) calls run fold-major in canonical flip order, at most
 ``_IN_FLIGHT`` at once on worker threads (numpy releases the GIL in its
 array loops), so ``predict`` may run on two threads at once and must not
 mutate shared state. If a fold predictor has ``concurrent_calls``
-false (``ExternalPredictor``), the calls run one at a time. The calling
-thread takes the results in task order: each fold adds its un-flipped
-outputs into one running sum in canonical flip order, and the fold means
-are summed in fold order, so the result does not depend on configuration
-order or thread timing and is bitwise equal to the mean of the stacked
-outputs.
+false (``ExternalPredictor``), the calls run one at a time. Each worker
+adds its own result when that call's turn in task order comes, while the
+other worker's call runs: each fold adds its un-flipped outputs into one
+running sum in canonical flip order, and the fold means are summed in
+fold order, so the result does not depend on configuration order or
+thread timing and is bitwise equal to the mean of the stacked outputs.
+``on_invoke`` runs in that same order, on the worker holding the turn,
+and the calling thread only waits.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ import os
 import signal
 import subprocess
 import tempfile
+import threading
 import time
 import warnings
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -116,7 +118,9 @@ class Predictor:
     ``predict`` gets read-only views and, while ``concurrent_calls`` is
     true, may run on two threads at once (two flips of one fold, or the
     last flip of one fold and the first of the next), so it must not
-    mutate state shared between calls.
+    mutate state shared between calls. The ensemble's worker threads
+    also add the outputs: each adds its own in task order, so a call's
+    output is summed while the next call runs.
     """
 
     name: str = "predictor"
@@ -271,49 +275,95 @@ def _ensemble_mean(folds: dict, stack: ChannelStack, flips, on_invoke, first=())
     """Mean over ``folds`` ({fold index: predictor}) of each fold's mean
     over the canonical ``flips``.
 
-    The (fold, flip) tasks run fold-major on a thread pool, at most
-    ``_IN_FLIGHT`` at once, or one at a time if any fold predictor has
-    ``concurrent_calls`` false. This thread takes the results in task
-    order, calls ``on_invoke``, adds each un-flipped output into its fold's running sum
-    and drops it before the next task is submitted. Fold means are added
-    in fold order, which is exactly what ``np.mean`` over stacked outputs
-    and then stacked fold means computes, bit for bit, however the calls
-    interleave. ``stack`` must already be read-only. ``first`` may hold
+    The (fold, flip) tasks are numbered fold-major. ``_IN_FLIGHT`` worker
+    threads, or one if any fold predictor has ``concurrent_calls`` false,
+    each take the next task and run it, then wait for that task's turn.
+    The worker holding the turn adds its un-flipped output into the fold's
+    running sum, adds the fold mean into the total after the fold's last
+    flip, calls ``on_invoke``, drops the output and hands the turn on,
+    while the other worker's call runs. So the adds and the ``on_invoke``
+    calls happen in task order, which is exactly what ``np.mean`` over
+    stacked outputs and then stacked fold means computes, bit for bit,
+    however the calls interleave; the calling thread only waits. The
+    first failing task in task order is the one raised, once every worker
+    has stopped. ``stack`` must already be read-only. ``first`` may hold
     the result of the first task (the first fold's identity), made
     earlier; it is moved out of that list so it is freed once added.
     """
     tasks = [(fold, flip) for fold in folds for flip in flips]
     serial = any(not getattr(p, "concurrent_calls", True) for p in folds.values())
     width = 1 if serial else _IN_FLIGHT
+    turns = threading.Condition()
+    taken = turn = 0
+    failure = None
     total = acc = None
-    with ThreadPoolExecutor(max_workers=width, thread_name_prefix="petseg-ensemble") as pool:
-        def submit(i):
-            fold, flip = tasks[i]
-            return pool.submit(_run_predictor, folds[fold], stack, flip, fold).result
 
-        # getters of the results of tasks i, i + 1, ...
-        pending = deque([lambda made=first.pop(): made] if first else [])
-        for i in range(len(pending), min(width, len(tasks))):
-            pending.append(submit(i))
-        for i, (fold, flip) in enumerate(tasks):
-            out, invocation = pending.popleft()()
-            if on_invoke is not None:
-                on_invoke(invocation)
-            if flip == flips[0]:
-                # a copy: the predictor may hand back a buffer it still owns
-                acc = np.array(out.data, dtype=np.float64, order="C")
+    def fail(exc):
+        nonlocal failure
+        with turns:
+            if failure is None:
+                failure = exc
+            turns.notify_all()
+
+    def add(i, out, invocation):
+        """Task ``i``'s part of the sums; only the holder of turn ``i`` runs it."""
+        nonlocal acc, total
+        flip = tasks[i][1]
+        if flip == flips[0]:
+            # a copy: the predictor may hand back a buffer it still owns
+            acc = np.array(out.data, dtype=np.float64, order="C")
+        else:
+            acc += out.data
+        if flip == flips[-1]:
+            acc /= len(flips)
+            if total is None:
+                total = acc
             else:
-                acc += out.data
-            del out  # released before the next call allocates
-            if flip == flips[-1]:
-                acc /= len(flips)
-                if total is None:
-                    total = acc
-                else:
-                    total += acc
-                acc = None
-            if i + width < len(tasks):
-                pending.append(submit(i + width))
+                total += acc
+            acc = None
+        if on_invoke is not None:
+            on_invoke(invocation)
+
+    def work():
+        nonlocal taken, turn
+        while True:
+            with turns:
+                if failure is not None or taken == len(tasks):
+                    return
+                i, taken = taken, taken + 1
+            fold, flip = tasks[i]
+            try:
+                result = first.pop() if i == 0 and first else _run_predictor(folds[fold], stack, flip, fold)
+            except BaseException as exc:  # re-raised by the caller unless an earlier task failed
+                result = exc
+            with turns:
+                while turn != i and failure is None:
+                    turns.wait()
+                if failure is not None:
+                    return
+            if isinstance(result, BaseException):
+                fail(result)
+                return
+            try:
+                add(i, *result)
+            except BaseException as exc:  # e.g. from on_invoke; re-raised by the caller
+                fail(exc)
+                return
+            del result  # the output, released before this worker's next call allocates
+            with turns:
+                turn += 1
+                turns.notify_all()
+
+    with ThreadPoolExecutor(max_workers=width, thread_name_prefix="petseg-ensemble") as pool:
+        workers = [pool.submit(work) for _ in range(width)]
+        try:
+            for worker in workers:
+                worker.result()
+        except BaseException as exc:  # an interrupt: the workers stop after their current call
+            fail(exc)
+            raise
+    if failure is not None:
+        raise failure
     total /= len(folds)
     return total
 

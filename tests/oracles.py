@@ -209,3 +209,19 @@ def stacked_ensemble_mean(predict, n_folds, flip_axes):
         outputs = [np.flip(predict(fold, axes), axes) for axes in flip_axes]
         fold_means.append(np.mean(np.stack(outputs), axis=0))
     return np.mean(np.stack(fold_means), axis=0)
+
+
+def nifti_voxels(payload, dtype, shape, flipped_axes, slope, inter, offset=352):
+    """The voxels a NIfTI reader returns for the uncompressed file bytes
+    ``payload``, computed in whole-volume steps: the values stored x
+    fastest, flipped back along ``flipped_axes``, mapped to float64
+    ``v * slope + inter`` when the slope scales (finite, nonzero, and not
+    1 and 0 on an integer dtype), and made C-ordered."""
+    dtype = np.dtype(dtype)
+    count = shape[0] * shape[1] * shape[2]
+    raw = np.frombuffer(payload, dtype=dtype, count=count, offset=offset).reshape(shape, order="F")
+    data = np.flip(raw, flipped_axes)
+    identity = dtype.kind in "iu" and slope == 1.0 and inter == 0.0
+    if np.isfinite(slope) and slope != 0.0 and not identity:
+        data = data.astype(np.float64) * slope + inter
+    return np.ascontiguousarray(data)

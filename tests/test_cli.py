@@ -425,7 +425,7 @@ class TestErrorsAndHelp:
         assert rc == 4
 
     @pytest.mark.parametrize("corruption", ["short_blob", "no_tensors", "unknown_field",
-                                            "stride_not_int", "nan_bias"])
+                                            "stride_not_int", "does_not_compose", "nan_bias"])
     def test_malformed_model_exits_2(self, tmp_path, capsys, corruption):
         write_phantom_files(tmp_path)
         model_path = zero_model(tmp_path)
@@ -440,6 +440,9 @@ class TestErrorsAndHelp:
             doc["architecture"][0]["dilation"] = 2
         elif corruption == "stride_not_int":
             doc["architecture"][0]["stride"] = "x"
+        elif corruption == "does_not_compose":  # layer 2 reads 9 channels, layer 0 makes 8
+            assert doc["architecture"][2]["in_ch"] == 8
+            doc["architecture"][2]["in_ch"] = 9
         else:  # the last layer's bias; with zero weights the probability would be NaN
             last = doc["tensors"][-1]
             assert last["name"].endswith("_linear.b")
@@ -451,6 +454,37 @@ class TestErrorsAndHelp:
         err = capsys.readouterr().err
         assert rc == 2
         assert str(model_path) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "window"])
+    @pytest.mark.parametrize("bad", ["both", "pet"])
+    def test_ct_pet_read_errors_are_deterministic(self, tmp_path, capsys, command, bad):
+        # CT and PET are read at once: a bad PET, small and cut short, fails
+        # soon, a bad CT only at its gzip trailer, yet CT's error wins as
+        # when CT was read first
+        rng = np.random.default_rng(0)
+        ct, pet = tmp_path / "ct.nii.gz", tmp_path / "pet.nii"
+        nifti.write_volume(Volume3D(rng.random((64, 64, 64)), (1, 1, 1), VolumeKind.CT_HU), ct)
+        nifti.write_volume(Volume3D(rng.random((4, 4, 4)), (1, 1, 1)), pet)
+        pet.write_bytes(pet.read_bytes()[:-1])
+        if bad == "both":
+            packed = bytearray(ct.read_bytes())
+            packed[-8] ^= 0x01  # the CRC
+            ct.write_bytes(bytes(packed))
+        out = ["--out", str(tmp_path / "m.nii.gz"), "--disc-model", str(tmp_path / "disc.json")] \
+            if command == "run" else ["--out-dir", str(tmp_path / "channels")]
+        capsys.readouterr()
+        assert cli.main([command, "--ct", str(ct), "--pet", str(pet), *out]) == 2
+        err = capsys.readouterr().err
+        named, other = (ct, pet) if bad == "both" else (pet, ct)
+        assert str(named) in err and str(other) not in err, err
+
+    def test_python_dash_m_petseg(self, tmp_path):
+        nifti.write_volume(Volume3D(np.ones((3, 3, 3)), (1, 1, 1)), tmp_path / "v.nii.gz")
+        found, missing = (subprocess.run([sys.executable, "-m", "petseg", "inspect", str(tmp_path / name)],
+                                         capture_output=True, text=True, timeout=60)
+                          for name in ("v.nii.gz", "missing.nii.gz"))
+        assert found.returncode == 0 and "shape:       (3, 3, 3)" in found.stdout, found.stderr
+        assert missing.returncode == 2  # the exit code of main reaches the shell
 
     def test_usage_error_exit_1(self):
         with pytest.raises(SystemExit) as err:
@@ -570,13 +604,14 @@ class TestSinglePaths:
     def test_inspect_decompresses_once(self, tmp_path, monkeypatch, capsys):
         nifti.write_volume(Volume3D(np.ones((3, 3, 3)), (1, 1, 1)), tmp_path / "v.nii.gz")
         calls = []
-        decompress = nifti.gzip.decompress
+        decompressobj = nifti.zlib.decompressobj
 
-        def counting(data):
-            calls.append(len(data))
-            return decompress(data)
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return decompressobj(*args, **kwargs)
 
-        monkeypatch.setattr(nifti.gzip, "decompress", counting)
+        # one gzip member, so one inflate stream per pass over the file
+        monkeypatch.setattr(nifti.zlib, "decompressobj", counting)
         assert cli.main(["inspect", str(tmp_path / "v.nii.gz")]) == 0
         assert len(calls) == 1
         assert "(3, 3, 3)" in capsys.readouterr().out

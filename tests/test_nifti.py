@@ -20,6 +20,8 @@ from petseg.errors import (
 )
 from petseg.volume import Volume3D, VolumeKind
 
+from oracles import nifti_voxels
+
 
 def minimal_header(datatype=16, dim=(3, 4, 4, 4, 1, 1, 1, 1), pixdim=(1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0),
                    vox_offset=352.0, scl_slope=1.0, scl_inter=0.0, order="<", magic=b"n+1\x00"):
@@ -435,6 +437,140 @@ class TestIntegerIdentityScaling:
         int32_volume = values.size * 4
         # file bytes + uint8 grid + int32 result; the float64 path took > 5
         assert peak <= 2.0 * int32_volume, peak / int32_volume
+
+
+def nifti_payload(values, datatype, order="<", slope=1.0, inter=0.0, flipped_axes=(), magic=b"n+1\x00"):
+    """Uncompressed bytes of a NIfTI file holding ``values`` x fastest; a
+    negative sform diagonal marks each axis in ``flipped_axes``."""
+    header = bytearray(minimal_header(datatype=datatype, dim=(3, *values.shape, 1, 1, 1, 1),
+                                      scl_slope=slope, scl_inter=inter, order=order, magic=magic))
+    if flipped_axes:
+        struct.pack_into(order + "h", header, SFORM_CODE_AT, 1)
+        for axis in flipped_axes:
+            struct.pack_into(order + "f", header, SROW_AT + 20 * axis, -1.0)
+    base = {2: "u1", 4: "i2", 16: "f4", 64: "f8"}[datatype]
+    return bytes(header) + b"\x00" * 4 + values.astype(np.dtype(base).newbyteorder(order)).tobytes(order="F")
+
+
+def gzip_members(payload, *cuts, padding=b""):
+    """``payload`` as one gzip member per piece between ``cuts``, each
+    member followed by ``padding``."""
+    bounds = [0, *cuts, len(payload)]
+    return b"".join(gzip.compress(payload[a:b]) + padding for a, b in zip(bounds, bounds[1:]))
+
+
+class TestStreamedDecode:
+    """The streamed reader against the whole-volume decode of ``oracles``,
+    with conversion steps of a few planes and inflate steps of a few bytes."""
+
+    @pytest.fixture
+    def small_steps(self, monkeypatch):
+        def steps(plane_bytes, run_planes):
+            monkeypatch.setattr(nifti, "_CHUNK", 13)
+            monkeypatch.setattr(nifti, "_BLOCK", plane_bytes * run_planes)
+        return steps
+
+    @pytest.mark.parametrize("datatype", [2, 4, 16, 64])
+    @pytest.mark.parametrize("order", "<>")
+    @pytest.mark.parametrize("codec", ["raw", "gzip"])
+    def test_matches_whole_volume_decode(self, tmp_path, small_steps, datatype, order, codec):
+        rng = np.random.default_rng(datatype)
+        base = {2: "u1", 4: "i2", 16: "f4", 64: "f8"}[datatype]
+        itemsize = np.dtype(base).itemsize
+        path = tmp_path / f"v.nii{'.gz' if codec == 'gzip' else ''}"
+        for nz, run in [(1, 3), (7, 3), (8, 1), (5, 5), (4, 9)]:
+            small_steps(5 * 4 * itemsize, run)
+            shape = (5, 4, nz)
+            if datatype in (2, 4):
+                values = rng.integers(0, 250 if datatype == 2 else 3000, size=shape)
+            else:
+                values = rng.normal(0.0, 100.0, size=shape)
+                values.flat[::5] = -0.0
+            for axes in [(), (0,), (1, 2), (0, 1, 2)]:
+                for slope, inter in [(1.0, 0.0), (2.5, -3.0), (0.0, 7.0)]:
+                    payload = nifti_payload(values, datatype, order, slope, inter, axes)
+                    path.write_bytes(gzip.compress(payload) if codec == "gzip" else payload)
+                    want = nifti_voxels(payload, np.dtype(base).newbyteorder(order), shape, axes, slope, inter)
+                    got = nifti.read_volume(path, kind=VolumeKind.PET_SUV).data
+                    case = f"nz={nz} run={run} axes={axes} slope={slope} inter={inter}"
+                    assert got.dtype == np.float64 and got.flags.c_contiguous, case
+                    assert got.tobytes() == want.astype(np.float64).tobytes(), case
+                    if datatype in (2, 4) and slope in (1.0, 0.0):  # unscaled labels: int32 directly
+                        labels = nifti.read_volume(path).data
+                        assert labels.dtype == np.int32 and labels.flags.c_contiguous, case
+                        assert np.array_equal(labels, want), case
+
+    def test_negative_zero_bits_are_the_whole_volume_decodes(self, tmp_path):
+        # -0.0 * 1.0 + 0.0 is +0.0, as it always was; with no scaling, or a
+        # -0.0 intercept, the sign bit stays
+        values = np.array([-0.0, 0.0, -1.5, 2.0] * 6).reshape(2, 3, 4)
+        path = tmp_path / "zeros.nii"
+        for slope, inter, negative in [(1.0, 0.0, False), (0.0, 0.0, True), (1.0, -0.0, True)]:
+            payload = nifti_payload(values, 16, slope=slope, inter=inter)
+            path.write_bytes(payload)
+            got = nifti.read_volume(path).data
+            want = nifti_voxels(payload, "<f4", values.shape, (), slope, inter).astype(np.float64)
+            assert got.tobytes() == want.tobytes()
+            assert bool(np.signbit(got[0, 0, 0])) is negative
+
+    def test_multi_member_gzip_with_zero_padding(self, tmp_path, small_steps):
+        small_steps(5 * 4 * 4, 2)
+        values = np.random.default_rng(1).random((5, 4, 7))
+        payload = nifti_payload(values, 16)
+        want = nifti_voxels(payload, "<f4", values.shape, (), 1.0, 0.0)
+        path = tmp_path / "members.nii.gz"
+        for cuts, padding in [((100,), b""), ((200, 352 + 90), b"\x00" * 3)]:
+            packed = gzip_members(payload, *cuts, padding=padding)
+            assert gzip.decompress(packed) == payload
+            path.write_bytes(packed)
+            assert nifti.read_volume(path).data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("codec", ["raw", "gzip"])
+    def test_truncated_mid_plane(self, tmp_path, small_steps, codec):
+        small_steps(5 * 4 * 8, 3)
+        payload = nifti_payload(np.ones((5, 4, 8)), 64)
+        cut = payload[:352 + 5 * 4 * 8 * 5 + 77]  # planes 0-4 and part of plane 5
+        path = tmp_path / f"cut.nii{'.gz' if codec == 'gzip' else ''}"
+        path.write_bytes(gzip.compress(cut) if codec == "gzip" else cut)
+        with pytest.raises(TruncatedData, match=f"need {len(payload)} bytes .* got {len(cut)}"):
+            nifti.read_volume(path)
+
+    @pytest.mark.parametrize("fault", ["deflate_byte", "crc", "cut_stream", "crc_after_bad_magic"])
+    def test_corrupt_stream(self, tmp_path, small_steps, fault):
+        small_steps(16 * 16 * 4, 2)
+        values = np.random.default_rng(2).random((16, 16, 12))
+        magic = b"n+2\x00" if fault == "crc_after_bad_magic" else b"n+1\x00"
+        payload = nifti_payload(values, 16, magic=magic)
+        packed = bytearray(gzip.compress(payload))
+        if fault == "deflate_byte":
+            packed[len(packed) // 2] ^= 0xFF
+        elif fault == "cut_stream":
+            del packed[len(packed) * 2 // 3:]
+        else:  # the CRC, checked only after every voxel was converted
+            packed[-8] ^= 0x01
+        path = tmp_path / "bad.nii.gz"
+        path.write_bytes(bytes(packed))
+        with pytest.raises(DecompressFailure, match="bad.nii.gz"):
+            nifti.read_volume(path)
+
+    def test_float_read_peak_memory(self, tmp_path):
+        import tracemalloc
+
+        path = tmp_path / "pet.nii.gz"
+        shape = (128, 128, 96)
+        data = np.random.default_rng(3).random(shape).astype(np.float32).astype(np.float64)
+        nifti.write_volume(Volume3D(data, (2.0, 2.0, 3.0)), path)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            vol = nifti.read_volume(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(vol.data, data)
+        # the float64 result plus one conversion step and one inflate step;
+        # a whole-file gunzip, float64 temporaries and a transpose took 2.5
+        assert peak <= 1.25 * data.nbytes, peak / data.nbytes
 
 
 class TestByteMutation:

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from petseg import nifti
+from petseg import nifti, orchestrator
 from petseg.discriminator import DiscriminatorModel, Tracer
 from petseg.errors import PredictorFailure, ValidationError
 from petseg.orchestrator import (
@@ -379,6 +379,50 @@ class TestPipeline:
         assert ensemble_threads() == []
 
 
+    def test_first_failure_in_task_order_is_raised(self, rng):
+        # flip y fails while flip x, the task before it, is still running
+        class SlowThenFast(IndexPredictor):
+            def predict(self, stack):
+                flip = flip_of(stack)
+                if flip == "x":
+                    time.sleep(0.2)
+                if flip in ("x", "y"):
+                    raise RuntimeError(f"flip {flip} crashed")
+                return super().predict(stack)
+
+        calls = []
+        with pytest.raises(PredictorFailure, match="flip x crashed"):
+            ensemble_predict(EnsembleConfig(folds=(SlowThenFast(0),)), make_stack(rng), on_invoke=calls.append)
+        assert [(c.fold, c.flip) for c in calls] == [(0, "identity")]
+        assert ensemble_threads() == []
+
+    def test_many_workers_under_fast_thread_switching(self, rng, monkeypatch):
+        # more workers than cores, switching threads every few microseconds:
+        # a lost or reordered add shows in the bits, a lost hand-over hangs
+        monkeypatch.setattr(orchestrator, "_IN_FLIGHT", 5)
+
+        class Jittery(IndexPredictor):
+            def predict(self, stack):
+                time.sleep(0.001 * ((7 * self.fold + ALL_FLIPS.index(flip_of(stack))) % 4))
+                return super().predict(stack)
+
+        stack = make_stack(rng, shape=(7, 6, 5))
+        cfg = EnsembleConfig(folds=tuple(Jittery(f) for f in range(4)))
+        calls, results = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner = threading.Thread(
+                target=lambda: results.append(ensemble_predict(cfg, stack, on_invoke=calls.append)))
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert [(c.fold, c.flip) for c in calls] == [(f, flip) for f in range(4) for flip in ALL_FLIPS]
+        assert np.array_equal(results[0].data, index_oracle(stack, 4, ALL_FLIPS))
+
+
 class TestThresholdMask:
     def test_nan_rejected(self):
         data = np.full((2, 3, 4), 0.9)
@@ -410,7 +454,7 @@ class TestThresholdMask:
 BACKEND_SCRIPT = textwrap.dedent("""
     import json, sys
     sys.path.insert(0, {src!r})
-    from petseg import nifti
+    from petseg import nifti, orchestrator
     from petseg.volume import Volume3D, VolumeKind
 
     request = json.loads(open(sys.argv[1]).read())
