@@ -467,7 +467,7 @@ def cmd_run(args) -> int:
          "case_id": args.case_id,
          **settings, "window": dataclasses.asdict(window)},
         inputs=[args.ct, args.pet, args.disc_model],
-        timings={**result.stage_timings,
+        timings={"route": result.stage_timings,
                  "invocation_s": [round(i.wall_time_s, 6) for i in result.invocations]},
         extra={
             "tracer": result.tracer.name,

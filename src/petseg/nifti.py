@@ -291,13 +291,18 @@ def _decode(pieces, kind: VolumeKind | None, source) -> tuple[NiftiHeader, Volum
         pending += piece
         if len(pending) >= HEADER_SIZE:
             break
-    header = parse_header(pending)
+    try:
+        header = parse_header(pending)
+    except IoFailure as exc:  # the same fault, naming the file
+        exc.args = (f"{source}: {exc}",)
+        raise
     nx, ny, nz = header.shape
     base, _ = SUPPORTED_DATATYPES[header.datatype_code]
     dt = np.dtype(base).newbyteorder(header.byteorder)
     offset = int(round(header.vox_offset))
     if offset < MIN_VOX_OFFSET:
-        raise MalformedHeader(f"vox_offset {offset} points inside the header or its extension flag")
+        raise MalformedHeader(f"{source}: vox_offset {offset} points inside the header or its "
+                              "extension flag")
 
     slope, inter = header.scl_slope, header.scl_inter
     identity = dt.kind in "iu" and slope == 1.0 and inter == 0.0
@@ -411,7 +416,7 @@ def write_volume(vol: Volume3D, path, byteorder: str = "<", dtype: str | None = 
         b"",
         MAGIC_SINGLE,
     )
-    payload = header + b"\x00\x00\x00\x00" + np.ascontiguousarray(vol.data).astype(dt).tobytes(order="F")
+    payload = header + b"\x00\x00\x00\x00" + vol.data.astype(dt).tobytes(order="F")
     if str(path).endswith(".gz"):
         payload = gzip.compress(payload, compresslevel=6, mtime=0)
     atomic_write(path, payload)

@@ -277,6 +277,31 @@ def _param_names(i: int, spec) -> tuple[str, str]:
     return f"{i:02d}_{spec.kind}.w", f"{i:02d}_{spec.kind}.b"
 
 
+def _weight_shape(spec) -> tuple[int, ...] | None:
+    """The weight shape of a conv or linear layer; None for a layer without weights."""
+    if isinstance(spec, Conv2DSpec):
+        return (spec.out_ch, spec.in_ch, spec.kernel, spec.kernel)
+    if isinstance(spec, LinearSpec):
+        return (spec.out_features, spec.in_features)
+    if isinstance(spec, (ReLUSpec, SigmoidSpec, FlattenSpec)):
+        return None
+    raise ShapeError(f"unknown layer spec {spec!r}")
+
+
+def _check_parameters(specs, params: dict[str, np.ndarray]) -> None:
+    """Raise ShapeError unless ``params`` ({name: array}) holds exactly the
+    weights and biases of ``specs``, each of its layer's shape."""
+    own = {}
+    for i, spec in enumerate(specs):
+        if (shape := _weight_shape(spec)) is not None:
+            own.update(zip(_param_names(i, spec), (shape, shape[:1])))
+    if set(own) != set(params):
+        raise ShapeError(f"parameter names mismatch: {sorted(own)} vs {sorted(params)}")
+    for name, arr in params.items():
+        if arr.shape != own[name]:
+            raise ShapeError(f"{name}: shape {arr.shape} != {own[name]}")
+
+
 class Network:
     """An ordered layer stack: its specs, and the weight and bias arrays of
     its conv and linear layers (``weights[i]``, None for the other layers).
@@ -296,16 +321,10 @@ class Network:
         self.specs = tuple(specs)
         self.weights: list[tuple[np.ndarray, np.ndarray] | None] = []
         for spec in self.specs:
-            if isinstance(spec, Conv2DSpec):
-                shape = (spec.out_ch, spec.in_ch, spec.kernel, spec.kernel)
-            elif isinstance(spec, LinearSpec):
-                shape = (spec.out_features, spec.in_features)
-            elif isinstance(spec, (ReLUSpec, SigmoidSpec, FlattenSpec)):
+            shape = _weight_shape(spec)
+            if shape is None:
                 self.weights.append(None)
-                continue
-            else:
-                raise ShapeError(f"unknown layer spec {spec!r}")
-            if params is None:
+            elif params is None:
                 w = kaiming_uniform(rng, shape, int(np.prod(shape[1:])))
                 self.weights.append((w, np.zeros(shape[0])))
             else:
@@ -386,12 +405,9 @@ class Network:
         return out
 
     def set_parameters(self, params: dict[str, np.ndarray]):
+        _check_parameters(self.specs, params)
         own = self.parameters()
-        if set(own) != set(params):
-            raise ShapeError(f"parameter names mismatch: {sorted(own)} vs {sorted(params)}")
         for name, arr in params.items():
-            if own[name].shape != arr.shape:
-                raise ShapeError(f"{name}: shape {arr.shape} != {own[name].shape}")
             own[name][...] = arr
 
     def snapshot(self) -> dict[str, np.ndarray]:
@@ -525,8 +541,9 @@ def load_model(manifest_path, input_shape=None):
 
     A manifest or blob that cannot be read or parsed, a tensor that runs
     past the end of the blob, a malformed layer, layers that do not
-    compose on ``input_shape`` (when given) and a NaN or Inf weight each
-    raise IoFailure naming the manifest."""
+    compose on ``input_shape`` (when given), tensors whose names or shapes
+    do not match the layers and a NaN or Inf weight each raise IoFailure
+    naming the manifest."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -537,6 +554,7 @@ def load_model(manifest_path, input_shape=None):
         specs = tuple(spec_from_dict(d) for d in manifest["architecture"])
         if input_shape is not None:
             infer_shapes(specs, input_shape)
+        _check_parameters(specs, params)
     except (OSError, KeyError, TypeError, ValueError, ShapeError) as exc:
         raise IoFailure(f"cannot load model from {manifest_path}: {exc}") from exc
     return params, specs, manifest

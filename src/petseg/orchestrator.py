@@ -10,18 +10,18 @@ the path named in the request and exits 0).
 TTA applies axis flips to every channel, runs the predictor, undoes the
 flip on the output and averages. Flipped channels and un-flipped outputs
 are ``np.flip`` views, never copies, and predictors see them read-only.
-The (fold, flip) calls run fold-major in canonical flip order, at most
-``_IN_FLIGHT`` at once on worker threads (numpy releases the GIL in its
-array loops), so ``predict`` may run on two threads at once and must not
-mutate shared state. If a fold predictor has ``concurrent_calls``
-false (``ExternalPredictor``), the calls run one at a time. Each worker
-adds its own result when that call's turn in task order comes, while the
-other worker's call runs: each fold adds its un-flipped outputs into one
-running sum in canonical flip order, and the fold means are summed in
-fold order, so the result does not depend on configuration order or
-thread timing and is bitwise equal to the mean of the stacked outputs.
-``on_invoke`` runs in that same order, on the worker holding the turn,
-and the calling thread only waits.
+The (fold, flip) calls are queued fold-major in canonical flip order on
+``_IN_FLIGHT`` worker threads (numpy releases the GIL in its array
+loops), so ``predict`` may run on two threads at once and must not
+mutate shared state. If a fold predictor has ``concurrent_calls`` false
+(``ExternalPredictor``), the calls run one at a time. The tasks form a
+chain of futures: each waits for the one before it, then adds its
+un-flipped output, while the next call runs. So each fold adds its
+outputs into one running sum in canonical flip order, and the fold means
+are summed in fold order: the result does not depend on configuration
+order or thread timing and is bitwise equal to the mean of the stacked
+outputs. ``on_invoke`` runs in that same order on the workers, and the
+calling thread only waits.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import tempfile
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -118,9 +118,9 @@ class Predictor:
     ``predict`` gets read-only views and, while ``concurrent_calls`` is
     true, may run on two threads at once (two flips of one fold, or the
     last flip of one fold and the first of the next), so it must not
-    mutate state shared between calls. The ensemble's worker threads
-    also add the outputs: each adds its own in task order, so a call's
-    output is summed while the next call runs.
+    mutate state shared between calls. Each call's output is added on
+    its worker thread once the call before it is added, while the next
+    call runs.
     """
 
     name: str = "predictor"
@@ -275,95 +275,69 @@ def _ensemble_mean(folds: dict, stack: ChannelStack, flips, on_invoke, first=())
     """Mean over ``folds`` ({fold index: predictor}) of each fold's mean
     over the canonical ``flips``.
 
-    The (fold, flip) tasks are numbered fold-major. ``_IN_FLIGHT`` worker
+    The (fold, flip) tasks are queued fold-major on ``_IN_FLIGHT``
     threads, or one if any fold predictor has ``concurrent_calls`` false,
-    each take the next task and run it, then wait for that task's turn.
-    The worker holding the turn adds its un-flipped output into the fold's
-    running sum, adds the fold mean into the total after the fold's last
-    flip, calls ``on_invoke``, drops the output and hands the turn on,
-    while the other worker's call runs. So the adds and the ``on_invoke``
-    calls happen in task order, which is exactly what ``np.mean`` over
-    stacked outputs and then stacked fold means computes, bit for bit,
-    however the calls interleave; the calling thread only waits. The
-    first failing task in task order is the one raised, once every worker
-    has stopped. ``stack`` must already be read-only. ``first`` may hold
-    the result of the first task (the first fold's identity), made
+    each with the future of the task before it. A task runs its call,
+    waits on that future, adds its un-flipped output into the fold's sum
+    (and the fold mean into the total after the fold's last flip) and
+    calls ``on_invoke``. The wait cannot deadlock because
+    ``ThreadPoolExecutor`` takes tasks in queue order: the task waited on
+    has always started, even on one thread. So the adds happen in task
+    order, which is what ``np.mean`` over stacked outputs and then stacked
+    fold means computes, bit for bit, and each thread holds at most one
+    output. A task raises the failure of the task before it if any, else
+    its own, so the last future raises the first failure in task order;
+    once a task has raised, or the caller is interrupted, queued tasks
+    skip their calls. ``stack`` must already be read-only. ``first`` may
+    hold the first task's result (the first fold's identity), made
     earlier; it is moved out of that list so it is freed once added.
     """
     tasks = [(fold, flip) for fold in folds for flip in flips]
     serial = any(not getattr(p, "concurrent_calls", True) for p in folds.values())
-    width = 1 if serial else _IN_FLIGHT
-    turns = threading.Condition()
-    taken = turn = 0
-    failure = None
+    stop = threading.Event()
     total = acc = None
 
-    def fail(exc):
-        nonlocal failure
-        with turns:
-            if failure is None:
-                failure = exc
-            turns.notify_all()
-
-    def add(i, out, invocation):
-        """Task ``i``'s part of the sums; only the holder of turn ``i`` runs it."""
+    def task(i, prev):
         nonlocal acc, total
-        flip = tasks[i][1]
-        if flip == flips[0]:
-            # a copy: the predictor may hand back a buffer it still owns
-            acc = np.array(out.data, dtype=np.float64, order="C")
-        else:
-            acc += out.data
-        if flip == flips[-1]:
-            acc /= len(flips)
-            if total is None:
-                total = acc
-            else:
-                total += acc
-            acc = None
-        if on_invoke is not None:
-            on_invoke(invocation)
-
-    def work():
-        nonlocal taken, turn
-        while True:
-            with turns:
-                if failure is not None or taken == len(tasks):
-                    return
-                i, taken = taken, taken + 1
-            fold, flip = tasks[i]
-            try:
-                result = first.pop() if i == 0 and first else _run_predictor(folds[fold], stack, flip, fold)
-            except BaseException as exc:  # re-raised by the caller unless an earlier task failed
-                result = exc
-            with turns:
-                while turn != i and failure is None:
-                    turns.wait()
-                if failure is not None:
-                    return
-            if isinstance(result, BaseException):
-                fail(result)
-                return
-            try:
-                add(i, *result)
-            except BaseException as exc:  # e.g. from on_invoke; re-raised by the caller
-                fail(exc)
-                return
-            del result  # the output, released before this worker's next call allocates
-            with turns:
-                turn += 1
-                turns.notify_all()
-
-    with ThreadPoolExecutor(max_workers=width, thread_name_prefix="petseg-ensemble") as pool:
-        workers = [pool.submit(work) for _ in range(width)]
+        fold, flip = tasks[i]
         try:
-            for worker in workers:
-                worker.result()
-        except BaseException as exc:  # an interrupt: the workers stop after their current call
-            fail(exc)
+            if stop.is_set():  # an earlier task failed or the caller was interrupted
+                raise CancelledError
+            result = first.pop() if i == 0 and first else _run_predictor(folds[fold], stack, flip, fold)
+        except BaseException as exc:  # raised once the task before this one is done
+            result = exc
+        try:
+            if prev is not None:
+                prev.result()  # waits for task i - 1; raises the first failure before this task
+            if isinstance(result, BaseException):
+                raise result
+            out, invocation = result
+            if flip == flips[0]:
+                # a copy: the predictor may hand back a buffer it still owns
+                acc = np.array(out.data, dtype=np.float64, order="C")
+            else:
+                acc += out.data
+            if flip == flips[-1]:
+                acc /= len(flips)
+                total = acc if total is None else np.add(total, acc, out=total)
+                acc = None
+            if on_invoke is not None:
+                on_invoke(invocation)
+        except BaseException:
+            stop.set()
             raise
-    if failure is not None:
-        raise failure
+
+    with ThreadPoolExecutor(max_workers=1 if serial else _IN_FLIGHT,
+                            thread_name_prefix="petseg-ensemble") as pool:
+        try:
+            last = None
+            for i in range(len(tasks)):
+                last = pool.submit(task, i, last)
+            last.exception()  # waits for the whole chain
+        except BaseException:  # an interrupt: the queued tasks skip their calls
+            stop.set()
+            raise
+    last.result()
     total /= len(folds)
     return total
 

@@ -354,6 +354,10 @@ class TestRunEndToEnd:
         assert manifest["result"]["tracer"] == "PSMA"
         assert manifest["result"]["tta_used"] == ["identity", "z"]
         assert len(manifest["result"]["invocations"]) == 4  # 2 folds x 2 flips
+        # route's own total, on which budget_exceeded was decided, within the command's
+        timings = manifest["timings"]
+        assert set(timings["route"]) >= {"mip_pipeline_s", "ensemble_s", "total_s"}
+        assert 0 < timings["route"]["total_s"] <= timings["total_s"]
 
     def test_run_deterministic_byte_identical(self, tmp_path):
         write_phantom_files(tmp_path, seed=11)
@@ -425,7 +429,8 @@ class TestErrorsAndHelp:
         assert rc == 4
 
     @pytest.mark.parametrize("corruption", ["short_blob", "no_tensors", "unknown_field",
-                                            "stride_not_int", "does_not_compose", "nan_bias"])
+                                            "stride_not_int", "does_not_compose", "nan_bias",
+                                            "shape_mismatch", "name_mismatch"])
     def test_malformed_model_exits_2(self, tmp_path, capsys, corruption):
         write_phantom_files(tmp_path)
         model_path = zero_model(tmp_path)
@@ -443,6 +448,11 @@ class TestErrorsAndHelp:
         elif corruption == "does_not_compose":  # layer 2 reads 9 channels, layer 0 makes 8
             assert doc["architecture"][2]["in_ch"] == 8
             doc["architecture"][2]["in_ch"] = 9
+        elif corruption == "shape_mismatch":  # fewer bytes than the layer's weight: still in the blob
+            assert doc["tensors"][0]["shape"] == [8, 1, 3, 3]
+            doc["tensors"][0]["shape"] = [8, 1, 3, 2]
+        elif corruption == "name_mismatch":
+            doc["tensors"][0]["name"] = "00_conv2d.weight"
         else:  # the last layer's bias; with zero weights the probability would be NaN
             last = doc["tensors"][-1]
             assert last["name"].endswith("_linear.b")
@@ -477,6 +487,27 @@ class TestErrorsAndHelp:
         err = capsys.readouterr().err
         named, other = (ct, pet) if bad == "both" else (pet, ct)
         assert str(named) in err and str(other) not in err, err
+
+    @pytest.mark.parametrize("fault", ["short", "magic", "datatype"])
+    def test_bad_header_names_its_file(self, tmp_path, capsys, fault):
+        write_phantom_files(tmp_path)
+        ct = tmp_path / "ct.nii"
+        nifti.write_volume(nifti.read_volume(tmp_path / "ct.nii.gz"), ct)
+        packed = bytearray(ct.read_bytes())
+        if fault == "short":
+            packed = packed[:16]
+        elif fault == "magic":
+            packed[344:348] = b"ni1\x00"
+        else:
+            packed[70:72] = (128).to_bytes(2, "little")  # RGB
+        ct.write_bytes(bytes(packed))
+        capsys.readouterr()
+        assert cli.main(["run", "--ct", str(ct), "--pet", str(tmp_path / "pet.nii.gz"),
+                         "--disc-model", str(zero_model(tmp_path)), "--out", str(tmp_path / "m.nii.gz")]) == 2
+        err = capsys.readouterr().err
+        assert str(ct) in err and "pet.nii.gz" not in err, err
+        assert cli.main(["inspect", str(ct)]) == 2
+        assert str(ct) in capsys.readouterr().err
 
     def test_python_dash_m_petseg(self, tmp_path):
         nifti.write_volume(Volume3D(np.ones((3, 3, 3)), (1, 1, 1)), tmp_path / "v.nii.gz")

@@ -162,6 +162,24 @@ class TestReadVolume:
         vol = nifti.read_volume(path, kind=VolumeKind.CT_HU)
         assert vol.kind is VolumeKind.CT_HU
 
+    @pytest.mark.parametrize("name, fault", [
+        ("short", TruncatedData), ("magic", BadMagic), ("datatype", UnsupportedDatatype),
+        ("sizeof_hdr", EndiannessUndetectable), ("dim", MalformedHeader), ("vox_offset", MalformedHeader),
+    ])
+    def test_header_faults_name_the_file(self, tmp_path, name, fault):
+        header = {
+            "short": minimal_header()[:16],
+            "magic": minimal_header(magic=b"ni1\x00"),
+            "datatype": minimal_header(datatype=128),
+            "sizeof_hdr": struct.pack("<i", 1) + minimal_header()[4:],
+            "dim": minimal_header(dim=(4, 4, 4, 4, 2, 1, 1, 1)),
+            "vox_offset": minimal_header(vox_offset=348.0),
+        }[name]
+        path = tmp_path / "bad_header.nii"
+        path.write_bytes(header + bytes(4 + 4 * 4 * 4 * 4))
+        with pytest.raises(fault, match="bad_header.nii: "):
+            nifti.read_volume(path)
+
     def test_data_is_x_fastest_on_disk(self, tmp_path):
         values = np.arange(64, dtype=np.float32).reshape((4, 4, 4), order="F")
         path = raw_file(tmp_path, values=values)
@@ -227,6 +245,17 @@ class TestWriteVolume:
         nifti.write_volume(vol, path, byteorder=">")
         back = nifti.read_volume(path)
         assert np.array_equal(back.data, data)
+
+
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    @pytest.mark.parametrize("kind", [VolumeKind.PET_SUV, VolumeKind.LABEL])
+    @pytest.mark.parametrize("axes", [(2,), (0, 2), (0, 1, 2)])
+    def test_flipped_view_writes_its_contiguous_bytes(self, tmp_path, rng, suffix, kind, axes):
+        data = rng.random((5, 6, 7)) if kind is VolumeKind.PET_SUV else rng.integers(0, 300, (5, 6, 7))
+        view = np.flip(data, axes)
+        nifti.write_volume(Volume3D(view, (1, 2, 3), kind), tmp_path / f"view{suffix}")
+        nifti.write_volume(Volume3D(view.copy(), (1, 2, 3), kind), tmp_path / f"copy{suffix}")
+        assert (tmp_path / f"view{suffix}").read_bytes() == (tmp_path / f"copy{suffix}").read_bytes()
 
 
 class TestRoundTripSweep:

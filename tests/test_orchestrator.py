@@ -396,6 +396,50 @@ class TestPipeline:
         assert [(c.fold, c.flip) for c in calls] == [(0, "identity")]
         assert ensemble_threads() == []
 
+    def test_calls_started_after_a_failing_one_are_bounded(self, rng, monkeypatch):
+        # each thread that takes a task after the failing one waits on the
+        # chain, so it starts one call at most; queued tasks then skip theirs
+        monkeypatch.setattr(orchestrator, "_IN_FLIGHT", 3)
+        started = []
+
+        class SlowFailure(IndexPredictor):
+            def predict(self, stack):
+                started.append((self.fold, flip_of(stack)))
+                if (self.fold, flip_of(stack)) == (1, "x"):
+                    time.sleep(0.2)
+                    raise RuntimeError("backend crashed")
+                return super().predict(stack)
+
+        with pytest.raises(PredictorFailure, match="index_f1.*backend crashed"):
+            ensemble_predict(EnsembleConfig(folds=tuple(SlowFailure(f) for f in range(4))), make_stack(rng))
+        assert len(started) - started.index((1, "x")) - 1 <= orchestrator._IN_FLIGHT - 1, started
+        assert ensemble_threads() == []
+
+    def test_interrupt_while_tasks_are_queued_stops_the_calls(self, rng):
+        # the first call interrupts the caller, which is then still queueing
+        # tasks or waiting on them; every queued task must skip its call
+        calls = []
+
+        class Interrupting(SuvThresholdPredictor):
+            def predict(self, stack):
+                calls.append(flip_of(stack))
+                if len(calls) == 1:
+                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                    time.sleep(0.3)
+                return super().predict(stack)
+
+        cfg = EnsembleConfig(folds=tuple(Interrupting() for _ in range(6)))
+        handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                ensemble_predict(cfg, make_stack(rng))
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        for thread in ensemble_threads():
+            thread.join(timeout=30)
+        assert ensemble_threads() == []
+        assert len(calls) <= orchestrator._IN_FLIGHT, calls
+
     def test_many_workers_under_fast_thread_switching(self, rng, monkeypatch):
         # more workers than cores, switching threads every few microseconds:
         # a lost or reordered add shows in the bits, a lost hand-over hangs
