@@ -181,9 +181,12 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(**_resolve(dataclasses.asdict(TrainConfig()), {"": file_cfg}, args))
 
 
-def _write_manifest(args, target, config: dict, timings: dict | None = None, **fields):
-    """The run manifest of subcommand ``args.command``; its ``total_s`` counts
-    from the start of :func:`main`."""
+def _write_manifest(args, target, resolved: dict | None = None, timings: dict | None = None, **fields):
+    """The run manifest of subcommand ``args.command``. Its ``config`` is every
+    parsed argument, overridden by the values the command ``resolved``; its
+    ``total_s`` counts from the start of :func:`main`."""
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "command", "json", "started")}
+    config.update(resolved or {})
     timings = {**(timings or {}), "total_s": time.perf_counter() - args.started}
     return write_run_manifest(target, args.command, config, timings=timings, **fields)
 
@@ -217,11 +220,7 @@ def cmd_resample(args) -> int:
         vol = nifti.read_volume(args.infile)
         out = resample_trilinear(vol, args.spacing)
     nifti.write_volume(out, args.out)
-    _write_manifest(
-        args, args.out,
-        {"in": str(args.infile), "out": str(args.out), "spacing": list(args.spacing), "mode": args.mode},
-        inputs=[args.infile],
-    )
+    _write_manifest(args, args.out, inputs=[args.infile])
     print(f"resampled {vol.shape} -> {out.shape} at {args.spacing} mm")
     return EXIT_OK
 
@@ -245,12 +244,7 @@ def cmd_window(args) -> int:
              "channel_2_ct_clipped.nii.gz", "channel_3_pet_clipped.nii.gz"]
     for name, ch in zip(names, stack.channels):
         nifti.write_volume(ch, out_dir / name)
-    _write_manifest(
-        args, out_dir,
-        {"ct": str(args.ct), "pet": str(args.pet), "out_dir": str(out_dir),
-         "window": dataclasses.asdict(window), "channels": names},
-        inputs=[args.ct, args.pet],
-    )
+    _write_manifest(args, out_dir, {"channels": names}, inputs=[args.ct, args.pet])
     print(f"wrote 4 channels to {out_dir}")
     return EXIT_OK
 
@@ -259,11 +253,7 @@ def cmd_mip(args) -> int:
     pet = nifti.read_volume(args.pet, kind=VolumeKind.PET_SUV)
     mip = discriminator_mip(pet)
     write_mip(mip, args.out)
-    _write_manifest(
-        args, args.out,
-        {"pet": str(args.pet), "out": str(args.out)},
-        inputs=[args.pet],
-    )
+    _write_manifest(args, args.out, inputs=[args.pet])
     print(f"wrote {mip.shape[0]}x{mip.shape[1]} MIP to {args.out}")
     return EXIT_OK
 
@@ -279,13 +269,7 @@ def cmd_synth(args) -> int:
             nifti.write_volume(lesion.to_label_volume(), out_dir / f"{mip.case_id}_lesion.nii.gz")
         mips.append(mip)
     manifest_path = save_mip_dataset(out_dir, mips)
-    _write_manifest(
-        args, out_dir,
-        {"n": args.n, "seed": args.seed, "out_dir": str(out_dir),
-         "with_volumes": bool(args.with_volumes)},
-        seed=args.seed,
-        extra={"mip_manifest": manifest_path.name},
-    )
+    _write_manifest(args, out_dir, extra={"mip_manifest": manifest_path.name})
     print(f"generated {args.n} cases into {out_dir} (manifest: {manifest_path.name})")
     return EXIT_OK
 
@@ -298,15 +282,9 @@ def cmd_train_disc(args) -> int:
     model.save(args.out_model)
     history_path = args.history or str(Path(args.out_model).with_suffix("")) + "_history.csv"
     write_history_csv(history_path, history)
-    _write_manifest(
-        args, args.out_model,
-        {"manifest": str(args.manifest), "out_model": str(args.out_model),
-         "history": str(history_path), **dataclasses.asdict(cfg)},
-        inputs=[args.manifest],
-        seed=cfg.seed,
-        extra={"epochs_run": len(history), "best_val_bce": min(h.val_bce for h in history)},
-        host=training_host(),
-    )
+    _write_manifest(args, args.out_model, {"history": history_path, **dataclasses.asdict(cfg)},
+                    inputs=[args.manifest], host=training_host(),
+                    extra={"epochs_run": len(history), "best_val_bce": min(h.val_bce for h in history)})
     best = min(history, key=lambda h: h.val_bce)
     print(f"trained on {len(train)}+{len(val)} mips, {len(history)} epochs, "
           f"best val BCE {best.val_bce:.6f} (epoch {best.epoch}), val acc {best.val_acc:.4f}")
@@ -322,16 +300,9 @@ def cmd_cv_disc(args) -> int:
     print(f"mean accuracy: {result.mean_accuracy:.4f}")
     if args.out:
         write_cv_csv(args.out, result)
-        _write_manifest(
-            args, args.out,
-            {"manifest": str(args.manifest), "k": args.k, "out": str(args.out),
-             **dataclasses.asdict(cfg)},
-            inputs=[args.manifest],
-            seed=cfg.seed,
-            extra={"fold_accuracies": [round(a, 6) for a in result.fold_accuracies],
-                   "mean_accuracy": round(result.mean_accuracy, 6)},
-            host=training_host(),
-        )
+        _write_manifest(args, args.out, dataclasses.asdict(cfg), inputs=[args.manifest], host=training_host(),
+                        extra={"fold_accuracies": [round(a, 6) for a in result.fold_accuracies],
+                               "mean_accuracy": round(result.mean_accuracy, 6)})
     return EXIT_OK
 
 
@@ -356,12 +327,8 @@ def cmd_fuse(args) -> int:
         masks.append((name, BinaryMask.from_volume_foreground(vol)))
     fused = merge_organ_masks(masks, lesion, ignore_unknown=args.ignore_unknown)
     nifti.write_volume(fused, args.out)
-    _write_manifest(
-        args, args.out,
-        {"manifest": str(args.manifest), "out": str(args.out), "case_id": case_id,
-         "ignore_unknown": bool(args.ignore_unknown)},
-        inputs=[args.manifest, lesion_path, *organ_paths.values()],
-    )
+    _write_manifest(args, args.out, {"case_id": case_id},
+                    inputs=[args.manifest, lesion_path, *organ_paths.values()])
     print(f"fused {len(masks)} organ masks + lesion for case {case_id} -> {args.out}")
     return EXIT_OK
 
@@ -394,13 +361,8 @@ def cmd_evaluate(args) -> int:
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         cases = list(pool.map(evaluate, common))
     write_metrics_csv(args.out, cases)
-    _write_manifest(
-        args, args.out,
-        {"pred_dir": str(pred_dir), "gt_dir": str(gt_dir), "out": str(args.out),
-         "connectivity": args.connectivity, "lesion_label": args.lesion_label, "jobs": args.jobs},
-        inputs=[pred_files[n] for n in common] + [gt_files[n] for n in common],
-        extra={"unmatched": unmatched},
-    )
+    _write_manifest(args, args.out, inputs=[pred_files[n] for n in common] + [gt_files[n] for n in common],
+                    extra={"unmatched": unmatched})
     defined = [c.dice for c in cases if c.dice is not None]
     mean_dice = float(np.mean(defined)) if defined else float("nan")
     skipped = len(unmatched["pred"]) + len(unmatched["gt"])
@@ -461,11 +423,7 @@ def cmd_run(args) -> int:
     if args.out_prob:
         nifti.write_volume(result.prob_map, args.out_prob)
     _write_manifest(
-        args, args.out,
-        {"ct": str(args.ct), "pet": str(args.pet), "disc_model": str(args.disc_model),
-         "out": str(args.out), "out_prob": str(args.out_prob) if args.out_prob else None,
-         "case_id": args.case_id,
-         **settings, "window": dataclasses.asdict(window)},
+        args, args.out, {**settings, "window": dataclasses.asdict(window)},
         inputs=[args.ct, args.pet, args.disc_model],
         timings={"route": result.stage_timings,
                  "invocation_s": [round(i.wall_time_s, 6) for i in result.invocations]},

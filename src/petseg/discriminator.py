@@ -271,7 +271,6 @@ class CVResult:
     fold_accuracies: tuple[float, ...]
     mean_accuracy: float
     fold_case_ids: tuple[tuple[str, ...], ...]
-    histories: tuple[tuple[EpochStats, ...], ...]
 
 
 def stratified_folds(data, k: int, seed: int) -> list[list[int]]:
@@ -307,7 +306,6 @@ def cross_validate(data, k: int = 5, cfg: TrainConfig = TrainConfig()) -> CVResu
                               f"and {len(data) - fdg} PSMA cases, split per class into {k} folds")
     accuracies = []
     fold_cases = []
-    histories = []
     for f in range(k):
         held = [data[i] for i in folds[f]]
         rest = [data[i] for g in range(k) if g != f for i in folds[g]]
@@ -315,19 +313,17 @@ def cross_validate(data, k: int = 5, cfg: TrainConfig = TrainConfig()) -> CVResu
         fold_rng = np.random.default_rng(fold_seed)
 
         tr, val = train_val_split(rest, cfg.val_fraction, fold_rng)
-        model, history = train_fold(tr, val, replace(cfg, seed=fold_seed))
+        model, _ = train_fold(tr, val, replace(cfg, seed=fold_seed))
         with _sharded(model.network) as run:
             _, acc = _evaluate(run, held, labels[folds[f]], cfg.batch_size)
 
         accuracies.append(acc)
         fold_cases.append(tuple(m.case_id for m in held))
-        histories.append(tuple(history))
 
     return CVResult(
         fold_accuracies=tuple(accuracies),
         mean_accuracy=float(np.mean(accuracies)),
         fold_case_ids=tuple(fold_cases),
-        histories=tuple(histories),
     )
 
 
@@ -397,11 +393,19 @@ def save_mip_dataset(out_dir, mips) -> Path:
 
 def load_mip_dataset(manifest_path) -> list[LabeledMip]:
     """Load a manifest of {case_id, mip_path, label} entries; each
-    ``mip_path`` is relative to the manifest and read by :func:`read_mip`."""
+    ``mip_path`` is relative to the manifest and read by :func:`read_mip`,
+    and each ``label`` is the JSON integer 0 (FDG) or 1 (PSMA)."""
     manifest_path = Path(manifest_path)
     try:
         entries = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise IoFailure(f"cannot read manifest {manifest_path}: {exc}") from exc
-    return [LabeledMip(read_mip(manifest_path.parent / e["mip_path"]), int(e["label"]), str(e["case_id"]))
+    if not isinstance(entries, list):
+        raise IoFailure(f"manifest {manifest_path} must hold a JSON list of entries")
+    for i, e in enumerate(entries):
+        if not (isinstance(e, dict) and "case_id" in e and isinstance(e.get("mip_path"), str)
+                and type(e.get("label")) is int and e["label"] in (0, 1)):
+            raise IoFailure(f"manifest {manifest_path} entry {i} is not "
+                            f"{{case_id, mip_path: string, label: 0 or 1}}: {e!r}")
+    return [LabeledMip(read_mip(manifest_path.parent / e["mip_path"]), e["label"], str(e["case_id"]))
             for e in entries]

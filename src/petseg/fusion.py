@@ -112,8 +112,11 @@ def load_organ_manifest(manifest_path):
         doc = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise IoFailure(f"cannot read organ manifest {manifest_path}: {exc}") from exc
+    organs = doc.get("organs", {}) if isinstance(doc, dict) else None
+    if not (isinstance(doc, dict) and "case_id" in doc and isinstance(doc.get("lesion_path"), str)
+            and isinstance(organs, dict) and all(isinstance(p, str) for p in organs.values())):
+        raise IoFailure(f"organ manifest {manifest_path} is not "
+                        "{case_id, lesion_path: string, organs: {name: path string}}")
     base = manifest_path.parent
-    case_id = str(doc["case_id"])
-    lesion_path = base / doc["lesion_path"]
-    organ_paths = {str(name): base / p for name, p in doc.get("organs", {}).items()}
-    return case_id, lesion_path, organ_paths
+    organ_paths = {name: base / p for name, p in organs.items()}
+    return str(doc["case_id"]), base / doc["lesion_path"], organ_paths

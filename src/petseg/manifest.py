@@ -74,10 +74,11 @@ def manifest_path_for(target) -> Path:
     return target.parent / (target.name + ".manifest.json")
 
 
-def write_run_manifest(target, subcommand: str, config: dict, inputs=(), seed=None,
+def write_run_manifest(target, subcommand: str, config: dict, inputs=(),
                        timings: dict | None = None, extra: dict | None = None,
                        host: dict | None = None) -> Path:
-    """Write the manifest of ``target``; ``host`` adds entries to its host section."""
+    """Write the manifest of ``target``; its ``seed`` is ``config["seed"]``
+    (None without one), and ``host`` adds entries to its host section."""
     from . import __version__
 
     doc = {
@@ -86,7 +87,7 @@ def write_run_manifest(target, subcommand: str, config: dict, inputs=(), seed=No
         "subcommand": subcommand,
         "config": config,
         "inputs": {str(p): sha256_file(p) for p in inputs},
-        "seed": seed,
+        "seed": config.get("seed"),
         "timings": timings or {},
         "host": {
             "platform": platform.platform(),

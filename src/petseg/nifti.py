@@ -10,10 +10,10 @@ diagonal scaling; an axis with a negative entry is flipped on reading,
 and an oblique or permuted sform (a nonzero off-diagonal or a zero
 diagonal entry) raises ``MalformedHeader``. With ``sform_code == 0`` the
 data are taken as stored. 4D files with a singleton fourth dimension are
-squeezed to 3D. Non-finite ``pixdim[1..3]`` or ``vox_offset``, and a
-non-finite ``scl_inter`` next to a valid ``scl_slope``, raise
-``MalformedHeader``; NaN or infinite voxels in a float file raise
-``IoFailure``.
+squeezed to 3D. Non-finite ``pixdim[1..3]`` or ``vox_offset``, a
+non-finite ``scl_inter`` next to a valid ``scl_slope``, and a ``bitpix``
+other than the datatype's width raise ``MalformedHeader``; NaN or
+infinite voxels in a float file raise ``IoFailure``.
 
 A read is one streamed pass over the file: gzip is inflated in chunks of
 ``_CHUNK`` bytes, and each run of whole z-planes (about ``_BLOCK`` file
@@ -158,6 +158,9 @@ def parse_header(buf: bytes) -> NiftiHeader:
         raise BadMagic(f"expected single-file magic {MAGIC_SINGLE!r}, got {magic!r}")
     if datatype not in SUPPORTED_DATATYPES:
         raise UnsupportedDatatype(datatype)
+    if bitpix != SUPPORTED_DATATYPES[datatype][1]:
+        raise MalformedHeader(f"bitpix {bitpix} does not match datatype {datatype}, "
+                              f"which has {SUPPORTED_DATATYPES[datatype][1]} bits")
     if dim[0] not in (3, 4):
         raise MalformedHeader(f"dim[0] must be 3 or 4, got {dim[0]}")
     if dim[0] == 4 and dim[4] != 1:

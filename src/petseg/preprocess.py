@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpacing, InvalidWindow, ShapeMismatch, ValidationError
-from .volume import Volume3D, VolumeKind, require_same_grid
+from .errors import InvalidWindow, ShapeMismatch, ValidationError
+from .volume import Volume3D, VolumeKind, _check_spacing, require_same_grid
 
 PET_WINDOW = (0.0, 20.0)     # SUV
 CT_WINDOW = (-300.0, 400.0)  # HU
@@ -100,15 +100,6 @@ class MipImage:
         return self.pixels.shape
 
 
-def _check_target(target) -> tuple[float, float, float]:
-    if len(target) != 3:
-        raise InvalidSpacing(f"target spacing needs 3 components, got {len(target)}")
-    out = tuple(float(t) for t in target)
-    if any(not np.isfinite(t) or t <= 0 for t in out):
-        raise InvalidSpacing(f"target spacing must be positive and finite, got {out}")
-    return out
-
-
 def _output_shape(shape, spacing, target) -> tuple[int, ...]:
     # n' = max(1, round(n * s / t)), round half up
     return tuple(
@@ -159,7 +150,7 @@ def resample_trilinear(vol: Volume3D, target) -> Volume3D:
     """
     if vol.kind is VolumeKind.LABEL:
         raise ValidationError("trilinear resampling is not defined for LABEL volumes")
-    target = _check_target(target)
+    target = _check_spacing(target)
     if target == vol.spacing:
         return Volume3D(vol.data.copy(), vol.spacing, vol.kind)
 
@@ -194,7 +185,7 @@ def resample_nearest(vol: Volume3D, target) -> Volume3D:
     """
     if vol.kind is not VolumeKind.LABEL:
         raise ValidationError("nearest resampling is reserved for LABEL volumes")
-    target = _check_target(target)
+    target = _check_spacing(target)
     if target == vol.spacing:
         return Volume3D(vol.data.copy(), vol.spacing, vol.kind)
 

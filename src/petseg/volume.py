@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ShapeMismatch, ValidationError
+from .errors import InvalidSpacing, ShapeMismatch, ValidationError
 
 
 class VolumeKind(Enum):
@@ -27,11 +27,11 @@ class VolumeKind(Enum):
 
 def _check_spacing(spacing) -> tuple[float, float, float]:
     if len(spacing) != 3:
-        raise ValidationError(f"spacing must have 3 components, got {len(spacing)}")
+        raise InvalidSpacing(f"spacing must have 3 components, got {len(spacing)}")
     out = tuple(float(s) for s in spacing)
     for s in out:
         if not math.isfinite(s) or s <= 0.0:
-            raise ValidationError(f"spacing components must be positive and finite, got {out}")
+            raise InvalidSpacing(f"spacing components must be positive and finite, got {out}")
     return out
 
 

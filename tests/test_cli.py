@@ -18,7 +18,7 @@ from petseg.discriminator import (
     write_history_csv,
 )
 from petseg.errors import IoFailure
-from petseg.manifest import write_run_manifest
+from petseg.manifest import manifest_path_for, write_run_manifest
 from petseg.metrics import CaseMetrics, write_metrics_csv
 from petseg.synthdata import Hotspot, PhantomSpec, TracerStyle, make_mip_dataset, make_phantom
 from petseg.volume import Volume3D, VolumeKind
@@ -609,7 +609,7 @@ class TestSinglePaths:
                 write_history_csv(tmp_path / "h.csv", [EpochStats(1, 0.7, 0.6, variant / 2, 1.5)])
             elif writer == "cv_csv":
                 folds = 2 + variant
-                write_cv_csv(tmp_path / "cv.csv", CVResult((1.0,) * folds, 1.0, (("a",),) * folds, ()))
+                write_cv_csv(tmp_path / "cv.csv", CVResult((1.0,) * folds, 1.0, (("a",),) * folds))
             else:  # the second manifest lists no MIP, so only the manifest write fails
                 mips = make_mip_dataset(2, 0)[: 1 - variant]
                 save_mip_dataset(tmp_path, mips)
@@ -646,3 +646,123 @@ class TestSinglePaths:
         assert cli.main(["inspect", str(tmp_path / "v.nii.gz")]) == 0
         assert len(calls) == 1
         assert "(3, 3, 3)" in capsys.readouterr().out
+
+
+def write_organ_files(tmp_path, doc=None):
+    """A lesion and a liver mask, and the organ manifest ``doc`` (by
+    default one that lists them) as ``organs.json``."""
+    lesion = np.zeros((8, 8, 8), dtype=np.int32)
+    lesion[4, 4, 4] = 1
+    liver = np.zeros((8, 8, 8), dtype=np.int32)
+    liver[3:6, 3:6, 3:6] = 1
+    nifti.write_volume(Volume3D(lesion, (2.0, 2.0, 2.0), VolumeKind.LABEL), tmp_path / "lesion.nii.gz")
+    nifti.write_volume(Volume3D(liver, (2.0, 2.0, 2.0), VolumeKind.LABEL), tmp_path / "liver.nii.gz")
+    if doc is None:
+        doc = {"case_id": "c1", "lesion_path": "lesion.nii.gz", "organs": {"liver": "liver.nii.gz"}}
+    (tmp_path / "organs.json").write_text(json.dumps(doc))
+    return tmp_path / "organs.json"
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory, small_corpus):
+    d = tmp_path_factory.mktemp("inputs")
+    write_phantom_files(d)
+    (d / "train.json").write_text(json.dumps({"seed": 9}))
+    pred_dir, gt_dir = write_mask_dirs(d)
+    return {"ct": str(d / "ct.nii.gz"), "pet": str(d / "pet.nii.gz"), "model": str(zero_model(d)),
+            "corpus": str(small_corpus), "train_config": str(d / "train.json"),
+            "organs": str(write_organ_files(d)), "pred": str(pred_dir), "gt": str(gt_dir)}
+
+
+# argv of every output-producing subcommand, each option set off its default,
+# as (argv, output path) of inputs ``i`` and output directory ``o``
+COMMANDS = {
+    "resample": lambda i, o: (["--in", i["pet"], "--out", o + "/r.nii.gz", "--spacing", "8,8,8",
+                               "--mode", "trilinear"], o + "/r.nii.gz"),
+    "window": lambda i, o: (["--ct", i["ct"], "--pet", i["pet"], "--out-dir", o + "/ch", "--pet-lo", "1",
+                             "--pet-hi", "15", "--ct-lo", "-200", "--ct-hi", "300"], o + "/ch"),
+    "mip": lambda i, o: (["--pet", i["pet"], "--out", o + "/mip.nii.gz"], o + "/mip.nii.gz"),
+    "synth": lambda i, o: (["--n", "2", "--seed", "7", "--out-dir", o + "/corpus", "--with-volumes"],
+                           o + "/corpus"),
+    "train-disc": lambda i, o: (["--manifest", i["corpus"], "--out-model", o + "/m.json",
+                                 "--history", o + "/h.csv", "--config", i["train_config"],
+                                 "--max-epochs", "1"], o + "/m.json"),
+    "cv-disc": lambda i, o: (["--manifest", i["corpus"], "--k", "2", "--out", o + "/cv.csv",
+                              "--max-epochs", "1", "--seed", "5"], o + "/cv.csv"),
+    "fuse": lambda i, o: (["--manifest", i["organs"], "--out", o + "/fused.nii.gz", "--ignore-unknown"],
+                          o + "/fused.nii.gz"),
+    "evaluate": lambda i, o: (["--pred-dir", i["pred"], "--gt-dir", i["gt"], "--out", o + "/m.csv",
+                               "--connectivity", "6", "--lesion-label", "1", "--jobs", "2"], o + "/m.csv"),
+    "run": lambda i, o: (["--ct", i["ct"], "--pet", i["pet"], "--disc-model", i["model"],
+                          "--out", o + "/mask.nii.gz", "--out-prob", o + "/prob.nii.gz", "--case-id", "c7",
+                          "--folds", "1", "--tta", "identity", "--reduced-tta", "identity",
+                          "--tta-reduction-threshold", "5", "--time-budget", "100", "--threshold", "0.4",
+                          "--no-soft-deadline"], o + "/mask.nii.gz"),
+}
+
+TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
+
+# the config keys each command adds to its parsed arguments, and its manifest seed
+RESOLVED = {
+    "window": ({"channels"}, None),
+    "synth": (set(), 7),
+    "train-disc": ({"history"} | TRAIN_KEYS, 9),
+    "cv-disc": (TRAIN_KEYS, 5),
+    "fuse": ({"case_id"}, None),
+    "run": ({"fdg", "psma", "window"}, None),
+}
+
+
+class TestManifestConfig:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_config_holds_every_parsed_argument(self, tmp_path, command_inputs, command):
+        argv, target = COMMANDS[command](command_inputs, str(tmp_path))
+        argv = [command, *argv]
+        assert cli.main(argv) == 0
+        manifest = json.loads(manifest_path_for(target).read_text())
+        parsed = vars(cli.build_parser().parse_args(argv))
+        for key in ("func", "command", "json"):
+            del parsed[key]
+        parsed = json.loads(json.dumps(parsed))  # tuples as lists
+        config = manifest["config"]
+        resolved, seed = RESOLVED.get(command, (set(), None))
+        assert set(config) == set(parsed) | resolved
+        assert {k: config[k] for k in parsed} == parsed
+        assert manifest["seed"] == seed
+
+
+class TestMalformedInputManifests:
+    @pytest.mark.parametrize("doc", [
+        [{"case_id": "a", "label": 0}],
+        [{"mip_path": "a_mip.nii.gz", "label": 0}],
+        [{"case_id": "a", "mip_path": "a_mip.nii.gz", "label": 1.5}],
+        [{"case_id": "a", "mip_path": "a_mip.nii.gz", "label": 2}],
+        [{"case_id": "a", "mip_path": "a_mip.nii.gz", "label": "1"}],
+        [{"case_id": "a", "mip_path": "a_mip.nii.gz", "label": True}],
+        [{"case_id": "a", "mip_path": 3, "label": 0}],
+        ["a_mip.nii.gz"],
+        {"case_id": "a", "mip_path": "a_mip.nii.gz", "label": 0},
+    ], ids=["no_mip_path", "no_case_id", "label_1.5", "label_2", "label_string", "label_bool",
+            "mip_path_int", "entry_string", "not_a_list"])
+    def test_train_disc_exits_2_naming_the_manifest(self, tmp_path, capsys, doc):
+        manifest = tmp_path / "bad_manifest.json"
+        manifest.write_text(json.dumps(doc))
+        assert cli.main(["train-disc", "--manifest", str(manifest),
+                         "--out-model", str(tmp_path / "m.json"), "--max-epochs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and "Traceback" not in err, err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"lesion_path": "lesion.nii.gz", "organs": {"liver": "liver.nii.gz"}},
+        {"case_id": "c1", "organs": {"liver": "liver.nii.gz"}},
+        {"case_id": "c1", "lesion_path": "lesion.nii.gz", "organs": ["liver.nii.gz"]},
+        {"case_id": "c1", "lesion_path": "lesion.nii.gz", "organs": {"liver": 3}},
+        ["c1", "lesion.nii.gz"],
+    ], ids=["no_case_id", "no_lesion_path", "organs_list", "organ_path_int", "not_an_object"])
+    def test_fuse_exits_2_naming_the_manifest(self, tmp_path, capsys, doc):
+        manifest = write_organ_files(tmp_path, doc)
+        assert cli.main(["fuse", "--manifest", str(manifest), "--out", str(tmp_path / "f.nii.gz")]) == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and "Traceback" not in err, err
+        assert not (tmp_path / "f.nii.gz").exists()

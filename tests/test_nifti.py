@@ -180,6 +180,18 @@ class TestReadVolume:
         with pytest.raises(fault, match="bad_header.nii: "):
             nifti.read_volume(path)
 
+    @pytest.mark.parametrize("dtype, bitpix", [("float32", 8), ("float32", 64), ("float64", 32)])
+    def test_bitpix_must_match_the_datatype(self, tmp_path, capsys, dtype, bitpix):
+        path = tmp_path / "bitpix.nii"
+        nifti.write_volume(Volume3D(np.ones((2, 3, 4)), (1.0, 1.0, 1.0)), path, dtype=dtype)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<h", raw, 72, bitpix)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(MalformedHeader, match=f"bitpix.nii: bitpix {bitpix} "):
+            nifti.read_volume(path)
+        assert cli.main(["inspect", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
     def test_data_is_x_fastest_on_disk(self, tmp_path):
         values = np.arange(64, dtype=np.float32).reshape((4, 4, 4), order="F")
         path = raw_file(tmp_path, values=values)
