@@ -9,6 +9,7 @@ the decision threshold is 0.5 with ties going to PSMA.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -73,6 +74,18 @@ class TrainConfig:
     val_fraction: float = 0.2
     weight_decay: float = 0.01
     seed: int = 0
+
+    def __post_init__(self):
+        for key, ok, rule in (
+            ("lr", math.isfinite(self.lr) and self.lr > 0, "finite and > 0"),
+            ("max_epochs", self.max_epochs >= 1, ">= 1"),
+            ("patience", self.patience >= 0, ">= 0"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("val_fraction", 0 < self.val_fraction < 1, "in (0, 1)"),
+            ("weight_decay", math.isfinite(self.weight_decay) and self.weight_decay >= 0, "finite and >= 0"),
+        ):
+            if not ok:
+                raise ValidationError(f"{key} must be {rule}, got {getattr(self, key)!r}")
 
 
 @dataclass(frozen=True)

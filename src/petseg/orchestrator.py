@@ -27,6 +27,7 @@ calling thread only waits.
 from __future__ import annotations
 
 import json
+import math
 import os
 import signal
 import subprocess
@@ -233,6 +234,13 @@ class EnsembleConfig:
     soft_deadline: bool = False
 
     def __post_init__(self):
+        for key, ok, rule in (
+            ("tta_reduction_threshold", self.tta_reduction_threshold >= 0, ">= 0"),
+            ("time_budget_s", math.isfinite(self.time_budget_s) and self.time_budget_s > 0, "finite and > 0"),
+            ("decision_threshold", 0 <= self.decision_threshold <= 1, "in [0, 1]"),
+        ):
+            if not ok:
+                raise ValidationError(f"{key} must be {rule}, got {getattr(self, key)!r}")
         object.__setattr__(self, "folds", tuple(self.folds))
         full = _canonical_flips(self.tta_flips)
         reduced = self.reduced_flips
@@ -288,7 +296,8 @@ def _ensemble_mean(folds: dict, stack: ChannelStack, flips, on_invoke, first=())
     output. A task raises the failure of the task before it if any, else
     its own, so the last future raises the first failure in task order;
     once a task has raised, or the caller is interrupted, queued tasks
-    skip their calls. ``stack`` must already be read-only. ``first`` may
+    skip their calls, and the call returns or raises only once every
+    thread it started has ended. ``stack`` must already be read-only. ``first`` may
     hold the first task's result (the first fold's identity), made
     earlier; it is moved out of that list so it is freed once added.
     """
@@ -327,16 +336,23 @@ def _ensemble_mean(folds: dict, stack: ChannelStack, flips, on_invoke, first=())
             stop.set()
             raise
 
-    with ThreadPoolExecutor(max_workers=1 if serial else _IN_FLIGHT,
-                            thread_name_prefix="petseg-ensemble") as pool:
-        try:
-            last = None
-            for i in range(len(tasks)):
-                last = pool.submit(task, i, last)
-            last.exception()  # waits for the whole chain
-        except BaseException:  # an interrupt: the queued tasks skip their calls
-            stop.set()
-            raise
+    prefix = f"petseg-ensemble-{id(stop):x}"  # unique among the calls running now
+    try:
+        with ThreadPoolExecutor(max_workers=1 if serial else _IN_FLIGHT, thread_name_prefix=prefix) as pool:
+            try:
+                last = None
+                for i in range(len(tasks)):
+                    last = pool.submit(task, i, last)
+                last.exception()  # waits for the whole chain
+            except BaseException:  # an interrupt: the queued tasks skip their calls
+                stop.set()
+                raise
+    finally:
+        # an interrupt inside ``Thread.start`` keeps that thread out of the
+        # set the pool joins; one not yet started will only skip its tasks
+        for thread in threading.enumerate():
+            if thread.name.startswith(prefix + "_") and thread.is_alive():
+                thread.join()
     last.result()
     total /= len(folds)
     return total

@@ -65,14 +65,6 @@ class ChannelStack:
         return nx * ny * nz
 
     @property
-    def ct_raw(self) -> Volume3D:
-        return self.channels[0]
-
-    @property
-    def pet_raw(self) -> Volume3D:
-        return self.channels[1]
-
-    @property
     def ct_clipped(self) -> Volume3D:
         return self.channels[2]
 

@@ -635,14 +635,14 @@ class TestSinglePaths:
     def test_inspect_decompresses_once(self, tmp_path, monkeypatch, capsys):
         nifti.write_volume(Volume3D(np.ones((3, 3, 3)), (1, 1, 1)), tmp_path / "v.nii.gz")
         calls = []
-        decompressobj = nifti.zlib.decompressobj
+        gzip_file = nifti.gzip.GzipFile
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return decompressobj(*args, **kwargs)
+            return gzip_file(*args, **kwargs)
 
-        # one gzip member, so one inflate stream per pass over the file
-        monkeypatch.setattr(nifti.zlib, "decompressobj", counting)
+        # one gzip reader per pass over the file
+        monkeypatch.setattr(nifti.gzip, "GzipFile", counting)
         assert cli.main(["inspect", str(tmp_path / "v.nii.gz")]) == 0
         assert len(calls) == 1
         assert "(3, 3, 3)" in capsys.readouterr().out

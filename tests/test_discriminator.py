@@ -69,8 +69,8 @@ class TestTrainFold:
 
     def test_patience_zero_stops_at_first_plateau(self, rng):
         data = toy_dataset(rng, 16)
-        # lr=0 means no parameter ever changes: epoch 2 cannot improve
-        cfg = TrainConfig(lr=0.0, max_epochs=50, patience=0, batch_size=8, seed=1)
+        # at lr=1e-12 no step moves the validation loss by 1e-6: epoch 2 cannot improve
+        cfg = TrainConfig(lr=1e-12, max_epochs=50, patience=0, batch_size=8, seed=1)
         _, history = train_fold(data[:12], data[12:], cfg)
         assert len(history) == 2
 

@@ -594,6 +594,56 @@ class TestStreamedDecode:
         with pytest.raises(DecompressFailure, match="bad.nii.gz"):
             nifti.read_volume(path)
 
+    @staticmethod
+    def packed_file(tmp_path):
+        values = np.random.default_rng(6).random((5, 4, 3))
+        path = tmp_path / "v.nii.gz"
+        nifti.write_volume(Volume3D(values, (1.0, 1.0, 1.0)), path)
+        return path, path.read_bytes(), nifti.read_volume(path).data
+
+    @pytest.mark.parametrize("fault", ["trailing_bytes", "wrong_isize", "magic_only"])
+    def test_gzip_container_faults(self, tmp_path, fault):
+        path, packed, _ = self.packed_file(tmp_path)
+        if fault == "trailing_bytes":  # neither zero padding nor a gzip member
+            packed += b"\x01\x02\x03"
+        elif fault == "wrong_isize":
+            packed = packed[:-4] + struct.pack("<I", len(gzip.decompress(packed)) + 1)
+        else:
+            packed = b"\x1f\x8b"
+        path.write_bytes(packed)
+        with pytest.raises(DecompressFailure, match="v.nii.gz"):
+            nifti.read_volume(path)
+
+    @pytest.mark.parametrize("content", [b"", b"\x1f"])
+    def test_empty_or_one_byte_file(self, tmp_path, content):
+        path = tmp_path / "v.nii.gz"
+        path.write_bytes(content)
+        with pytest.raises(TruncatedData, match=f"v.nii.gz: need 348 header bytes, got {len(content)}"):
+            nifti.read_volume(path)
+
+    def test_header_shape_does_not_size_the_read(self, tmp_path):
+        import tracemalloc
+
+        # one 32767 x 32767 float64 plane would be 8.6 GB; the file holds
+        # 4352 bytes, and a read may hold one step beyond what arrived
+        packed = bytearray(nifti_payload(np.zeros((5, 10, 10)), 64))
+        struct.pack_into("<hh", packed, 42, 32767, 32767)
+        path = tmp_path / "huge.nii.gz"
+        path.write_bytes(gzip.compress(bytes(packed)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedData, match=f"huge.nii.gz: need .* got {len(packed)}"):
+                nifti.read_volume(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * nifti._BLOCK, peak
+
+    def test_trailing_zero_padding_reads(self, tmp_path):
+        path, packed, want = self.packed_file(tmp_path)
+        path.write_bytes(packed + b"\x00" * 7)
+        assert nifti.read_volume(path).data.tobytes() == want.tobytes()
+
     def test_float_read_peak_memory(self, tmp_path):
         import tracemalloc
 

@@ -440,6 +440,35 @@ class TestPipeline:
         assert ensemble_threads() == []
         assert len(calls) <= orchestrator._IN_FLIGHT, calls
 
+    def test_no_worker_outlives_an_interrupt(self, rng):
+        # the interrupt tends to land in the pool starting its second thread,
+        # which then never joins that thread's set; the call must still end
+        # every thread it started before it raises
+        stack = make_stack(rng, shape=(6, 5, 4))
+
+        class Interrupting(SuvThresholdPredictor):
+            def predict(self, stack):
+                if not calls:
+                    calls.append(flip_of(stack))
+                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                    time.sleep(0.3)
+                return super().predict(stack)
+
+        cfg = EnsembleConfig(folds=tuple(Interrupting() for _ in range(6)))
+        handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        leaks = []
+        try:
+            for _ in range(10):
+                calls = []
+                with pytest.raises(KeyboardInterrupt):
+                    ensemble_predict(cfg, stack)
+                leaks.append([t.name for t in ensemble_threads()])
+                for thread in ensemble_threads():
+                    thread.join(timeout=30)
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        assert leaks == [[]] * 10
+
     def test_many_workers_under_fast_thread_switching(self, rng, monkeypatch):
         # more workers than cores, switching threads every few microseconds:
         # a lost or reordered add shows in the bits, a lost hand-over hangs

@@ -226,8 +226,8 @@ class TestClipAndChannels:
         ct = random_volume(rng, shape=(4, 4, 4), lo=-1200, hi=1500, kind=VolumeKind.CT_HU)
         pet = random_volume(rng, shape=(4, 4, 4), lo=0, hi=40)
         stack = build_channels(ct, pet)
-        assert stack.ct_raw is ct
-        assert stack.pet_raw is pet
+        assert stack.channels[0] is ct
+        assert stack.channels[1] is pet
         assert stack.ct_clipped.data.min() >= -300.0
         assert stack.ct_clipped.data.max() <= 400.0
         assert stack.pet_clipped.data.min() >= 0.0

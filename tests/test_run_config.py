@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from petseg import cli, nifti
-from petseg.discriminator import DiscriminatorModel
+from petseg.discriminator import DiscriminatorModel, TrainConfig
 from petseg.orchestrator import make_suv_ensemble
 from petseg.volume import Volume3D, VolumeKind
 
@@ -132,6 +132,57 @@ class TestTrainConfigErrors:
         rc = cli.main([command, "--manifest", str(corpus), "--config", str(tmp_path / "cfg.json"), *out])
         assert rc == 3
         assert repr(key) in capsys.readouterr().err
+
+
+RUN_FLAGS = ["--folds", "1", "--tta", "identity"]
+
+
+class TestConfigRanges:
+    """A value outside its key's range exits 3 naming the key, before any
+    input is read; a NaN threshold used to give an all-background mask."""
+
+    @pytest.mark.parametrize("command,flag,value,key", [
+        ("run", "--threshold", "nan", "decision_threshold"),
+        ("run", "--threshold", "1.5", "decision_threshold"),
+        ("run", "--threshold", "-0.1", "decision_threshold"),
+        ("run", "--time-budget", "nan", "time_budget_s"),
+        ("run", "--time-budget", "inf", "time_budget_s"),
+        ("run", "--time-budget", "0", "time_budget_s"),
+        ("run", "--time-budget", "-1", "time_budget_s"),
+        ("run", "--tta-reduction-threshold", "-5", "tta_reduction_threshold"),
+        ("train-disc", "--lr", "nan", "lr"),
+        ("train-disc", "--lr", "0", "lr"),
+        ("train-disc", "--lr", "-1", "lr"),
+        ("train-disc", "--weight-decay", "inf", "weight_decay"),
+        ("train-disc", "--weight-decay", "-0.01", "weight_decay"),
+        ("train-disc", "--batch-size", "0", "batch_size"),
+        ("train-disc", "--max-epochs", "0", "max_epochs"),
+        ("train-disc", "--patience", "-1", "patience"),
+        ("train-disc", "--val-fraction", "nan", "val_fraction"),
+        ("train-disc", "--val-fraction", "0", "val_fraction"),
+        ("train-disc", "--val-fraction", "1", "val_fraction"),
+        ("train-disc", "--val-fraction", "1.5", "val_fraction"),
+    ])
+    def test_exit_3_naming_the_key(self, case, corpus, capsys, command, flag, value, key):
+        if command == "run":
+            rc = run(case, None, *RUN_FLAGS, flag, value)
+        else:
+            rc = cli.main(["train-disc", "--manifest", str(corpus), "--out-model", str(case / "m.json"),
+                           flag, value])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert f"{key} must be" in err
+        assert "Traceback" not in err
+        assert not (case / "mask.nii.gz").exists() and not (case / "m.json").exists()
+
+    def test_config_file_nan_threshold(self, case, capsys):
+        assert run(case, {"psma": {"decision_threshold": float("nan")}}, *RUN_FLAGS) == 3
+        assert "decision_threshold" in capsys.readouterr().err
+
+    def test_range_ends_are_accepted(self, case):
+        for value in ("0", "1"):
+            assert run(case, None, *RUN_FLAGS, "--threshold", value, "--tta-reduction-threshold", "0") == 0
+        TrainConfig(patience=0, weight_decay=0.0, val_fraction=0.5, batch_size=1, max_epochs=1)
 
 
 def test_run_help_prints_each_default_once(capsys):
