@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import struct
 import warnings
 
@@ -268,6 +269,44 @@ class TestWriteVolume:
         nifti.write_volume(Volume3D(view, (1, 2, 3), kind), tmp_path / f"view{suffix}")
         nifti.write_volume(Volume3D(view.copy(), (1, 2, 3), kind), tmp_path / f"copy{suffix}")
         assert (tmp_path / f"view{suffix}").read_bytes() == (tmp_path / f"copy{suffix}").read_bytes()
+
+
+# SHA-256 of the .nii that write_volume makes for each 3x4x5 arange volume
+# below, per (case, byte order); the default float file is float32's
+_WRITER_DIGESTS = {
+    ("float64", "<"): "8ac9f94c47dc03e9be8fa169ce08e09c769381560f0dc8935ef79335df272ee1",
+    ("float64", ">"): "9aa98c6c4f07b2d003510afde26e7b49a142e1c0c85a099101d191ba70ed7388",
+    ("float32", "<"): "4fcd72f6f0ebc236729b055e88ccff0121950895ff99434bef34c6c1dfd32627",
+    ("float32", ">"): "751489fb931971ccab4a4e054af968a604623a7e64c9fe206b87b94564b6a5bd",
+    ("default", "<"): "4fcd72f6f0ebc236729b055e88ccff0121950895ff99434bef34c6c1dfd32627",
+    ("default", ">"): "751489fb931971ccab4a4e054af968a604623a7e64c9fe206b87b94564b6a5bd",
+    ("uint8", "<"): "dd1ed857ae8407aa94da12a833c2bfdc4ecca4f2c62b71fca577b742c0375a2b",
+    ("uint8", ">"): "88b5242fe6336a03a041f281c805fcb7ab52d15d9f6fa6daa70ae60e497a1735",
+    ("int16", "<"): "6a89253f68761de6f8b5482a6b3e5b7de3ff3a48e24224c6d289ebec2215e363",
+    ("int16", ">"): "65d407a1c40e3d778cc5b36d13fb10fb7fcd8b105e4f409c19a4e8ad5b52defc",
+}
+
+
+def _pinned_volume(case):
+    """The (volume, dtype argument) that ``case`` of _WRITER_DIGESTS writes."""
+    values, spacing = np.arange(60).reshape(3, 4, 5), (0.5, 1.25, 2.0)
+    if case == "uint8":
+        return Volume3D(values % 7, spacing, VolumeKind.LABEL), None
+    if case == "int16":
+        return Volume3D(values * 20, spacing, VolumeKind.LABEL), None
+    return Volume3D(values * 0.25 - 3, spacing), None if case == "default" else case
+
+
+class TestWrittenBytes:
+    @pytest.mark.parametrize(("case", "order"), list(_WRITER_DIGESTS))
+    def test_pinned_digest(self, tmp_path, case, order):
+        vol, dtype = _pinned_volume(case)
+        nifti.write_volume(vol, tmp_path / "v.nii", byteorder=order, dtype=dtype)
+        raw = (tmp_path / "v.nii").read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == _WRITER_DIGESTS[case, order]
+        # gzip bytes depend on the zlib build; what they inflate to does not
+        nifti.write_volume(vol, tmp_path / "v.nii.gz", byteorder=order, dtype=dtype)
+        assert gzip.decompress((tmp_path / "v.nii.gz").read_bytes()) == raw
 
 
 class TestRoundTripSweep:
