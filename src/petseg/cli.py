@@ -199,7 +199,7 @@ def cmd_inspect(args) -> int:
     print(f"path:        {args.volume}")
     print(f"shape:       {header.shape}")
     print(f"spacing_mm:  {tuple(round(s, 6) for s in header.spacing)}")
-    print(f"datatype:    code {header.datatype_code} ({nifti.SUPPORTED_DATATYPES[header.datatype_code][0]})")
+    print(f"datatype:    code {header.datatype_code} ({nifti.SUPPORTED_DATATYPES[header.datatype_code]})")
     print(f"byteorder:   {'little' if header.byteorder == '<' else 'big'}")
     print(f"vox_offset:  {header.vox_offset:.0f}")
     print(f"scl_slope:   {header.scl_slope}")
@@ -424,7 +424,7 @@ def cmd_run(args) -> int:
         nifti.write_volume(result.prob_map, args.out_prob)
     _write_manifest(
         args, args.out, {**settings, "window": dataclasses.asdict(window)},
-        inputs=[args.ct, args.pet, args.disc_model],
+        inputs=[args.ct, args.pet, *disc.files],
         timings={"route": result.stage_timings,
                  "invocation_s": [round(i.wall_time_s, 6) for i in result.invocations]},
         extra={

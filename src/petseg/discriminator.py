@@ -83,6 +83,7 @@ class TrainConfig:
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("val_fraction", 0 < self.val_fraction < 1, "in (0, 1)"),
             ("weight_decay", math.isfinite(self.weight_decay) and self.weight_decay >= 0, "finite and >= 0"),
+            ("seed", self.seed >= 0, ">= 0"),
         ):
             if not ok:
                 raise ValidationError(f"{key} must be {rule}, got {getattr(self, key)!r}")
@@ -118,9 +119,10 @@ class TracerPrediction:
 class DiscriminatorModel:
     """A trained (or fresh) classifier: network weights plus provenance."""
 
-    def __init__(self, network: Network, seed: int | None = None):
+    def __init__(self, network: Network, seed: int | None = None, files: tuple = ()):
         self.network = network
         self.seed = seed
+        self.files = files  # the model manifest and weights blob it was loaded from
 
     @classmethod
     def fresh(cls, seed: int, specs=DEFAULT_ARCH) -> "DiscriminatorModel":
@@ -133,7 +135,8 @@ class DiscriminatorModel:
     @classmethod
     def load(cls, manifest_path) -> "DiscriminatorModel":
         params, specs, manifest = load_model(manifest_path, INPUT_SHAPE)
-        return cls(Network(specs, params=params), seed=manifest.get("seed"))
+        blob = Path(manifest_path).parent / manifest["blob"]
+        return cls(Network(specs, params=params), seed=manifest.get("seed"), files=(manifest_path, blob))
 
 
 def _require_input_size(shape, source) -> None:

@@ -18,13 +18,13 @@ infinite voxels in a float file raise ``IoFailure``.
 A read is one streamed pass over the file, through ``gzip.GzipFile``
 when the file starts with the gzip magic (so multi-member files, zero
 padding and each member's CRC and length are the standard library's):
-each run of whole z-planes (about ``_BLOCK`` file bytes) is read into
-one reused buffer and scaled straight into the C-ordered result, with no
-decompressed copy of the file, no float64 temporaries and no separate
-transpose. A read peaks at its result plus about 2 MB: 1.05x the float64
-result of a 160x160x200 float32 file, where a whole-file decode held
-2.5x. zlib and numpy release the GIL, so two reads overlap on two
-threads.
+each run of whole z-planes (about ``_BLOCK`` file bytes) is taken with
+plain ``read()`` calls and scaled straight into the C-ordered result,
+with no decompressed copy of the file, no float64 temporaries and no
+separate transpose. A read peaks at its result plus about 2 MB: 1.06x
+the float64 result of a 160x160x200 float32 file, where a whole-file
+decode held 2.5x. zlib and numpy release the GIL, so two reads overlap
+on two threads.
 """
 
 from __future__ import annotations
@@ -55,40 +55,28 @@ HEADER_SIZE = 348
 MIN_VOX_OFFSET = HEADER_SIZE + 4  # single-file data start after the extension flag
 MAGIC_SINGLE = b"n+1\x00"
 
-# datatype code -> (numpy base dtype, bitpix)
-SUPPORTED_DATATYPES = {
-    2: ("u1", 8),
-    4: ("i2", 16),
-    16: ("f4", 32),
-    64: ("f8", 64),
-}
+# datatype code -> numpy base dtype; bitpix, the writer's dtype names,
+# the largest exact label and float-ness all follow from the dtype
+SUPPORTED_DATATYPES = {2: "u1", 4: "i2", 16: "f4", 64: "f8"}
 
-# Fixed-layout 348-byte header; the format string has no implicit padding.
-_HEADER_FMT = (
-    "i"      # sizeof_hdr
-    "10s"    # data_type (unused)
-    "18s"    # db_name (unused)
-    "i"      # extents
-    "h"      # session_error
-    "2c"     # regular, dim_info
-    "8h"     # dim
-    "3f"     # intent_p1..3
-    "4h"     # intent_code, datatype, bitpix, slice_start
-    "8f"     # pixdim
-    "3f"     # vox_offset, scl_slope, scl_inter
-    "h"      # slice_end
-    "2c"     # slice_code, xyzt_units
-    "4f"     # cal_max, cal_min, slice_duration, toffset
-    "2i"     # glmax, glmin
-    "80s"    # descrip
-    "24s"    # aux_file
-    "2h"     # qform_code, sform_code
-    "6f"     # quatern_b/c/d, qoffset_x/y/z
-    "12f"    # srow_x, srow_y, srow_z
-    "16s"    # intent_name
-    "4s"     # magic
-)
-assert struct.calcsize("<" + _HEADER_FMT) == HEADER_SIZE
+# The header fields petseg reads or writes, as name -> (byte offset,
+# struct code) at nifti1.h's offsets. A written header is zero elsewhere.
+_FIELDS = {
+    "sizeof_hdr": (0, "i"),
+    "regular": (38, "c"),
+    "dim": (40, "8h"),
+    "datatype": (70, "h"),
+    "bitpix": (72, "h"),
+    "pixdim": (76, "8f"),
+    "vox_offset": (108, "f"),
+    "scl_slope": (112, "f"),
+    "scl_inter": (116, "f"),
+    "xyzt_units": (123, "B"),
+    "descrip": (148, "80s"),
+    "sform_code": (254, "h"),
+    "srow": (280, "12f"),
+    "magic": (344, "4s"),
+}
 
 
 @dataclass(frozen=True)
@@ -133,36 +121,28 @@ def parse_header(buf: bytes) -> NiftiHeader:
     if len(buf) < HEADER_SIZE:
         raise TruncatedData(f"need {HEADER_SIZE} header bytes, got {len(buf)}")
 
-    byteorder = None
-    for order in ("<", ">"):
-        if struct.unpack_from(order + "i", buf, 0)[0] == HEADER_SIZE:
-            byteorder = order
+    def field(name):
+        at, code = _FIELDS[name]
+        values = struct.unpack_from(byteorder + code, buf, at)
+        return values if len(values) > 1 else values[0]
+
+    for byteorder in "<>":
+        if field("sizeof_hdr") == HEADER_SIZE:
             break
-    if byteorder is None:
+    else:
         raise EndiannessUndetectable("sizeof_hdr is not 348 under either byte order")
 
-    fields = struct.unpack_from(byteorder + _HEADER_FMT, buf, 0)
-    # tuple positions: 0 sizeof_hdr, 1-2 unused strings, 3 extents,
-    # 4 session_error, 5-6 regular/dim_info, 7-14 dim, 15-17 intent_p,
-    # 18-21 intent_code/datatype/bitpix/slice_start, 22-29 pixdim,
-    # 30-32 vox_offset/scl_slope/scl_inter, 33-35 slice fields,
-    # 36-41 cal/glmax/glmin, 42-43 descrip/aux, 44-45 qform/sform,
-    # 46-51 quatern/qoffset, 52-63 srow, 64 intent_name, 65 magic
-    dim = fields[7:15]
-    datatype, bitpix = fields[19], fields[20]
-    pixdim = fields[22:30]
-    vox_offset, scl_slope, scl_inter = fields[30:33]
-    sform_code = fields[45]
-    srow_flat = fields[52:64]
-    magic = fields[65]
+    dim, datatype, bitpix, magic = field("dim"), field("datatype"), field("bitpix"), field("magic")
+    pixdim, vox_offset = field("pixdim"), field("vox_offset")
+    scl_slope, scl_inter = field("scl_slope"), field("scl_inter")
+    sform_code, srow_flat = field("sform_code"), field("srow")
 
     if magic != MAGIC_SINGLE:
         raise BadMagic(f"expected single-file magic {MAGIC_SINGLE!r}, got {magic!r}")
     if datatype not in SUPPORTED_DATATYPES:
         raise UnsupportedDatatype(datatype)
-    if bitpix != SUPPORTED_DATATYPES[datatype][1]:
-        raise MalformedHeader(f"bitpix {bitpix} does not match datatype {datatype}, "
-                              f"which has {SUPPORTED_DATATYPES[datatype][1]} bits")
+    if bitpix != (width := np.dtype(SUPPORTED_DATATYPES[datatype]).itemsize * 8):
+        raise MalformedHeader(f"bitpix {bitpix} does not match datatype {datatype}, which has {width} bits")
     if dim[0] not in (3, 4):
         raise MalformedHeader(f"dim[0] must be 3 or 4, got {dim[0]}")
     if dim[0] == 4 and dim[4] != 1:
@@ -195,10 +175,6 @@ def parse_header(buf: bytes) -> NiftiHeader:
         sform_code=int(sform_code),
         srow=srow,
     )
-
-
-def _infer_kind(datatype_code: int) -> VolumeKind:
-    return VolumeKind.PET_SUV if datatype_code in (16, 64) else VolumeKind.LABEL
 
 
 # bytes per step when skipping to the data or draining the stream, and
@@ -248,19 +224,15 @@ def read_header_and_volume(path, kind: VolumeKind | None = None) -> tuple[NiftiH
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
-def _fill(stream, buf: bytearray, size: int) -> int:
-    """Read the next ``size`` bytes of ``stream`` into the start of ``buf``
-    and return how many arrived, fewer only at the end of the stream.
-    ``buf`` grows by at most ``_BLOCK`` per read, so a header's shape
-    cannot make a read allocate more than its file holds."""
-    got = stream.readinto(memoryview(buf)[:size])
-    while got == len(buf) < size:
-        piece = stream.read(min(_BLOCK, size - got))
-        if not piece:
-            break
-        buf += piece
-        got += len(piece)
-    return got
+def _read(stream, size: int) -> bytes:
+    """The next ``size`` bytes of ``stream``, fewer only at its end. Each
+    call takes at most ``_BLOCK`` bytes, so a header's shape cannot make a
+    read allocate more than its file holds."""
+    pieces = []
+    while size > 0 and (piece := stream.read(min(size, _BLOCK))):
+        pieces.append(piece)
+        size -= len(piece)
+    return b"".join(pieces)
 
 
 def _drain(stream) -> None:
@@ -270,18 +242,16 @@ def _drain(stream) -> None:
 
 
 def _decode(stream, kind: VolumeKind | None, source) -> tuple[NiftiHeader, Volume3D]:
-    """The header and volume of the file bytes in ``stream``, read to its
-    end through one reused buffer."""
-    buf = bytearray()
-    size = _fill(stream, buf, HEADER_SIZE)
+    """The header and volume of the file bytes in ``stream``, read to its end."""
+    head = _read(stream, HEADER_SIZE)
     try:
-        header = parse_header(buf[:size])
+        header = parse_header(head)
     except IoFailure as exc:  # the same fault, naming the file
         exc.args = (f"{source}: {exc}",)
         raise
+    size = len(head)
     nx, ny, nz = header.shape
-    base, _ = SUPPORTED_DATATYPES[header.datatype_code]
-    dt = np.dtype(base).newbyteorder(header.byteorder)
+    dt = np.dtype(SUPPORTED_DATATYPES[header.datatype_code]).newbyteorder(header.byteorder)
     offset = int(round(header.vox_offset))
     if offset < MIN_VOX_OFFSET:
         raise MalformedHeader(f"{source}: vox_offset {offset} points inside the header or its "
@@ -291,28 +261,27 @@ def _decode(stream, kind: VolumeKind | None, source) -> tuple[NiftiHeader, Volum
     identity = dt.kind in "iu" and slope == 1.0 and inter == 0.0
     scaled = math.isfinite(slope) and slope != 0.0 and not identity
     if kind is None:
-        kind = _infer_kind(header.datatype_code)
+        kind = VolumeKind.PET_SUV if dt.kind == "f" else VolumeKind.LABEL
     # unscaled integer labels go straight to int32, everything else to float64
     integer = kind is VolumeKind.LABEL and dt.kind in "iu" and not scaled
-    plane_voxels = nx * ny
-    plane = plane_voxels * dt.itemsize
+    plane = nx * ny * dt.itemsize
     run = max(1, _BLOCK // plane)
-    while size < offset and (skipped := _fill(stream, buf, min(offset - size, _CHUNK))):
+    while size < offset and (skipped := len(_read(stream, min(offset - size, _CHUNK)))):
         size += skipped
     out = into = None
     z, finite = 0, True
     while z < nz:
         n = min(run, nz - z)
-        got = _fill(stream, buf, n * plane)
-        size += got
-        if got < n * plane:
+        data = _read(stream, n * plane)
+        size += len(data)
+        if len(data) < n * plane:
             raise TruncatedData(
                 f"{source}: need {offset + nz * plane} bytes for shape {header.shape}, got {size}"
             )
         if out is None:  # allocated once the file has shown data, not on the header's word
             out = np.empty((nx, ny, nz), np.int32 if integer else np.float64)
             into = np.flip(out, header.flipped_axes)
-        flat = np.frombuffer(buf, dt, count=n * plane_voxels)
+        flat = np.frombuffer(data, dt)
         if dt.kind == "f" and finite:
             finite = bool(np.isfinite(flat).all())
         planes = flat.reshape(n, ny, nx).transpose(2, 1, 0)  # x fastest on disk
@@ -322,7 +291,6 @@ def _decode(stream, kind: VolumeKind | None, source) -> tuple[NiftiHeader, Volum
             np.add(dst, inter, out=dst)
         else:
             np.copyto(dst, planes)
-        del flat, planes, dst  # no view may outlive a resize of buf
         z += n
     _drain(stream)
     if not finite:
@@ -333,22 +301,26 @@ def _decode(stream, kind: VolumeKind | None, source) -> tuple[NiftiHeader, Volum
         raise IoFailure(f"{source}: cannot read as {kind.name}: {exc}") from exc
 
 
+def _label_limit(code: int) -> int:
+    """The largest label that datatype ``code`` stores exactly."""
+    dt = np.dtype(SUPPORTED_DATATYPES[code])
+    return int(np.iinfo(dt).max) if dt.kind in "iu" else 2 ** (np.finfo(dt).nmant + 1)
+
+
 def _file_dtype_for(vol: Volume3D, dtype: str | None) -> int:
     label = vol.kind is VolumeKind.LABEL
     vmax = int(vol.data.max()) if label and vol.data.size else 0
     if dtype is not None:
-        by_name = {"uint8": 2, "int16": 4, "float32": 16, "float64": 64}
+        by_name = {np.dtype(base).name: code for code, base in SUPPORTED_DATATYPES.items()}
         if dtype not in by_name:
             raise UnsupportedDatatype(dtype)
         code = by_name[dtype]
     elif label:
-        code = 2 if vmax <= 255 else 4
+        code = 2 if vmax <= _label_limit(2) else 4
     else:
         code = 16
-    if label:
-        limit = {2: 255, 4: 32767, 16: 2**24, 64: 2**53}[code]
-        if vmax > limit:
-            raise LabelOverflow(f"label value {vmax} exceeds {limit} for datatype code {code}")
+    if label and vmax > (limit := _label_limit(code)):
+        raise LabelOverflow(f"label value {vmax} exceeds {limit} for datatype code {code}")
     return code
 
 
@@ -363,36 +335,30 @@ def write_volume(vol: Volume3D, path, byteorder: str = "<", dtype: str | None = 
     if byteorder not in ("<", ">"):
         raise ValueError(f"byteorder must be '<' or '>', got {byteorder!r}")
     code = _file_dtype_for(vol, dtype)
-    base, bitpix = SUPPORTED_DATATYPES[code]
-    dt = np.dtype(base).newbyteorder(byteorder)
+    dt = np.dtype(SUPPORTED_DATATYPES[code]).newbyteorder(byteorder)
 
     nx, ny, nz = vol.shape
     sx, sy, sz = vol.spacing
-    header = struct.pack(
-        byteorder + _HEADER_FMT,
-        HEADER_SIZE,
-        b"", b"",
-        0, 0,
-        b"r", b"\x00",
-        3, nx, ny, nz, 1, 1, 1, 1,
-        0.0, 0.0, 0.0,
-        0, code, bitpix, 0,
-        1.0, sx, sy, sz, 0.0, 0.0, 0.0, 0.0,
-        352.0, 1.0, 0.0,
-        0,
-        b"\x00", bytes([2]),  # xyzt_units: millimetres
-        0.0, 0.0, 0.0, 0.0,
-        0, 0,
-        b"petseg", b"",
-        0, 1,
-        0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-        sx, 0.0, 0.0, 0.0,
-        0.0, sy, 0.0, 0.0,
-        0.0, 0.0, sz, 0.0,
-        b"",
-        MAGIC_SINGLE,
-    )
-    payload = header + b"\x00\x00\x00\x00" + vol.data.astype(dt).tobytes(order="F")
+    fields = {
+        "sizeof_hdr": HEADER_SIZE,
+        "regular": b"r",
+        "dim": (3, nx, ny, nz, 1, 1, 1, 1),
+        "datatype": code,
+        "bitpix": dt.itemsize * 8,
+        "pixdim": (1.0, sx, sy, sz, 0.0, 0.0, 0.0, 0.0),
+        "vox_offset": float(MIN_VOX_OFFSET),
+        "scl_slope": 1.0,
+        "xyzt_units": 2,  # millimetres
+        "descrip": b"petseg",
+        "sform_code": 1,
+        "srow": (sx, 0.0, 0.0, 0.0, 0.0, sy, 0.0, 0.0, 0.0, 0.0, sz, 0.0),
+        "magic": MAGIC_SINGLE,
+    }
+    head = bytearray(MIN_VOX_OFFSET)  # the header, then an empty extension flag
+    for name, value in fields.items():
+        at, fmt = _FIELDS[name]
+        struct.pack_into(byteorder + fmt, head, at, *(value if isinstance(value, tuple) else (value,)))
+    payload = bytes(head) + vol.data.astype(dt).tobytes(order="F")
     if str(path).endswith(".gz"):
         payload = gzip.compress(payload, compresslevel=6, mtime=0)
     atomic_write(path, payload)

@@ -136,8 +136,8 @@ class SuvThresholdPredictor(Predictor):
     orchestration path without any trained weights."""
 
     def __init__(self, cap: float = SUV_CAP, name: str = "suv_threshold"):
-        if cap <= 0:
-            raise ValidationError(f"cap must be positive, got {cap}")
+        if not (math.isfinite(cap) and cap > 0):
+            raise ValidationError(f"cap must be finite and > 0, got {cap}")
         self.cap = cap
         self.name = name
 

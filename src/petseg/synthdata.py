@@ -164,7 +164,12 @@ def synth_cases(n: int, seed: int = 0):
     Even cases are FDG-like and odd cases PSMA-like; case ``i`` draws its
     phantom from child ``i`` of ``seed`` and is named ``synth_{i:04d}``.
     The MIP is the classifier input :func:`discriminator_mip` makes.
+    Raises ``ValidationError`` unless ``n >= 1`` and ``seed >= 0``.
     """
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     for i in range(n):
         style = TracerStyle.FDG_LIKE if i % 2 == 0 else TracerStyle.PSMA_LIKE
         item_seed = int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0])

@@ -24,11 +24,40 @@ from petseg.volume import Volume3D, VolumeKind
 from oracles import nifti_voxels
 
 
+# The whole 348-byte NIfTI-1 header as nifti1.h lays it out, stated here
+# apart from the reader's field table; it has no implicit padding.
+NIFTI1_HEADER_FMT = (
+    "i"      # sizeof_hdr
+    "10s"    # data_type (unused)
+    "18s"    # db_name (unused)
+    "i"      # extents
+    "h"      # session_error
+    "2c"     # regular, dim_info
+    "8h"     # dim
+    "3f"     # intent_p1..3
+    "4h"     # intent_code, datatype, bitpix, slice_start
+    "8f"     # pixdim
+    "3f"     # vox_offset, scl_slope, scl_inter
+    "h"      # slice_end
+    "2c"     # slice_code, xyzt_units
+    "4f"     # cal_max, cal_min, slice_duration, toffset
+    "2i"     # glmax, glmin
+    "80s"    # descrip
+    "24s"    # aux_file
+    "2h"     # qform_code, sform_code
+    "6f"     # quatern_b/c/d, qoffset_x/y/z
+    "12f"    # srow_x, srow_y, srow_z
+    "16s"    # intent_name
+    "4s"     # magic
+)
+assert struct.calcsize("<" + NIFTI1_HEADER_FMT) == 348
+
+
 def minimal_header(datatype=16, dim=(3, 4, 4, 4, 1, 1, 1, 1), pixdim=(1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0),
                    vox_offset=352.0, scl_slope=1.0, scl_inter=0.0, order="<", magic=b"n+1\x00"):
     bitpix = {2: 8, 4: 16, 16: 32, 64: 64}.get(datatype, 0)
     return struct.pack(
-        order + nifti._HEADER_FMT,
+        order + NIFTI1_HEADER_FMT,
         348, b"", b"", 0, 0, b"r", b"\x00",
         *dim,
         0.0, 0.0, 0.0,

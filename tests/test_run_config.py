@@ -12,6 +12,7 @@ import pytest
 
 from petseg import cli, nifti
 from petseg.discriminator import DiscriminatorModel, TrainConfig
+from petseg.manifest import sha256_file
 from petseg.orchestrator import make_suv_ensemble
 from petseg.volume import Volume3D, VolumeKind
 
@@ -162,18 +163,37 @@ class TestConfigRanges:
         ("train-disc", "--val-fraction", "0", "val_fraction"),
         ("train-disc", "--val-fraction", "1", "val_fraction"),
         ("train-disc", "--val-fraction", "1.5", "val_fraction"),
+        ("train-disc", "--seed", "-1", "seed"),
+        ("cv-disc", "--seed", "-1", "seed"),
+        ("synth", "--seed", "-1", "seed"),
+        ("synth", "--n", "-3", "n"),
+        ("synth", "--n", "0", "n"),
     ])
     def test_exit_3_naming_the_key(self, case, corpus, capsys, command, flag, value, key):
         if command == "run":
             rc = run(case, None, *RUN_FLAGS, flag, value)
         else:
-            rc = cli.main(["train-disc", "--manifest", str(corpus), "--out-model", str(case / "m.json"),
-                           flag, value])
+            argv = {"train-disc": ["--manifest", str(corpus), "--out-model", str(case / "m.json")],
+                    "cv-disc": ["--manifest", str(corpus), "--k", "2"],
+                    "synth": ["--n", "2", "--out-dir", str(case / "corpus")]}[command]
+            rc = cli.main([command, *argv, flag, value])
         err = capsys.readouterr().err
         assert rc == 3
         assert f"{key} must be" in err
         assert "Traceback" not in err
         assert not (case / "mask.nii.gz").exists() and not (case / "m.json").exists()
+        assert not (case / "corpus" / "mip_manifest.json").exists()
+
+    @pytest.mark.parametrize("cap", ["1e999", "NaN", "0", "-1"])
+    def test_suv_cap_must_be_finite_and_positive(self, case, capsys, cap):
+        # an infinite cap gave an all-background mask; NaN failed as the predictor
+        (case / "cfg.json").write_text('{"backend": {"kind": "suv_threshold", "cap": %s}}' % cap)
+        rc = run(case, None, *RUN_FLAGS, "--config", str(case / "cfg.json"))
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "cap must be finite and > 0" in err
+        assert "Traceback" not in err
+        assert not (case / "mask.nii.gz").exists()
 
     def test_config_file_nan_threshold(self, case, capsys):
         assert run(case, {"psma": {"decision_threshold": float("nan")}}, *RUN_FLAGS) == 3
@@ -218,3 +238,21 @@ class TestNonFiniteInputs:
         config = {"folds": 1, "tta_flips": ["identity"],
                   "backend": {"kind": "external", "command": [sys.executable, str(script)]}}
         assert run(case, config) == 4
+
+
+def test_run_inputs_digest_the_weights_blob(case):
+    """Two models with the same manifest but different weights route
+    differently, so their run manifests must tell them apart."""
+    model = DiscriminatorModel.load(case / "disc.json")
+    next(iter(model.network.parameters().values()))[...] = 1.0
+    (case / "other").mkdir()
+    model.save(case / "other" / "disc.json")
+    assert (case / "other" / "disc.json").read_bytes() == (case / "disc.json").read_bytes()
+    digests = []
+    for disc in (case / "disc.json", case / "other" / "disc.json"):
+        assert cli.main(["run", "--ct", str(case / "ct.nii.gz"), "--pet", str(case / "pet.nii.gz"),
+                         "--disc-model", str(disc), "--out", str(case / "mask.nii.gz"), *RUN_FLAGS]) == 0
+        inputs = manifest_of(case)["inputs"]
+        assert inputs[str(disc.with_suffix(".bin"))] == sha256_file(disc.with_suffix(".bin"))
+        digests.append(sorted(inputs.values()))
+    assert digests[0] != digests[1]
