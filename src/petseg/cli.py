@@ -259,10 +259,11 @@ def cmd_mip(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    cases = synth_cases(args.n, args.seed)  # checks n and seed before anything is made
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     mips = []
-    for mip, pet, ct, lesion in synth_cases(args.n, args.seed):
+    for mip, pet, ct, lesion in cases:
         if args.with_volumes:
             nifti.write_volume(pet, out_dir / f"{mip.case_id}_pet.nii.gz")
             nifti.write_volume(ct, out_dir / f"{mip.case_id}_ct.nii.gz")

@@ -146,8 +146,11 @@ def _missed_voxels(mask: BinaryMask, other: BinaryMask, connectivity: int):
     """(voxels, count): the total size of the components of ``mask`` that
     share no voxel with ``other``, and the number of components."""
     labels, count = connected_components(mask, connectivity)
-    sizes = np.bincount(labels.data[mask.mask], minlength=count + 1)
-    sizes[labels.data[other.mask]] = 0  # background has size 0 already
+    # gathered through the transposed views, which are C-ordered for the
+    # x-fastest labels and masks: numpy's boolean indexing is fast only there
+    grid = labels.data.T
+    sizes = np.bincount(grid[mask.mask.T], minlength=count + 1)
+    sizes[grid[other.mask.T]] = 0  # background has size 0 already
     return int(sizes.sum()), count
 
 

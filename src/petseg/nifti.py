@@ -19,12 +19,13 @@ A read is one streamed pass over the file, through ``gzip.GzipFile``
 when the file starts with the gzip magic (so multi-member files, zero
 padding and each member's CRC and length are the standard library's):
 each run of whole z-planes (about ``_BLOCK`` file bytes) is taken with
-plain ``read()`` calls and scaled straight into the C-ordered result,
-with no decompressed copy of the file, no float64 temporaries and no
-separate transpose. A read peaks at its result plus about 2 MB: 1.06x
-the float64 result of a 160x160x200 float32 file, where a whole-file
-decode held 2.5x. zlib and numpy release the GIL, so two reads overlap
-on two threads.
+plain ``read()`` calls and scaled straight into the result, with no
+decompressed copy of the file and no float64 temporaries. The result is
+laid out x-fastest (Fortran order), as the file is and as nibabel
+returns it, so each run is one contiguous copy or cast, and writing it
+back is one contiguous copy too. A read holds its result plus about one
+run. zlib and numpy release the GIL, so two reads overlap on two
+threads.
 """
 
 from __future__ import annotations
@@ -197,8 +198,9 @@ def read_header_and_volume(path, kind: VolumeKind | None = None) -> tuple[NiftiH
 
     The file is read in one streamed pass, through ``gzip.GzipFile`` when
     it starts with the gzip magic, and each run of whole z-planes goes
-    straight into the result array, C-ordered, so the read holds little
-    beside the result. Raw values are mapped through
+    straight into the result array, which is laid out x-fastest like the
+    file (``data.flags.f_contiguous``), so the read holds little beside the
+    result. Raw values are mapped through
     ``v * scl_slope + scl_inter`` in float64 when ``scl_slope`` is finite
     and nonzero (slope 0 means "no scaling" per the NIfTI-1 convention; a
     NaN or infinite slope is read the same way, as nibabel does). Integer
@@ -241,6 +243,22 @@ def _drain(stream) -> None:
         pass
 
 
+def _convert(data: bytes, dt: np.dtype, dst: np.ndarray, scale: tuple[float, float] | None) -> bool:
+    """Write ``data``, the file bytes of ``dst``'s z-planes (x fastest, as
+    ``dst`` is laid out), into ``dst`` as ``v * slope + inter`` for
+    ``scale = (slope, inter)``, or as they are when ``scale`` is None;
+    whether every value is finite. The views of ``data`` end with this
+    call, so the caller can free it."""
+    planes = np.frombuffer(data, dt).reshape(dst.shape, order="F")
+    if scale is None:
+        np.copyto(dst, planes)
+    else:
+        slope, inter = scale
+        np.multiply(planes, slope, out=dst, dtype=np.float64)
+        np.add(dst, inter, out=dst)
+    return dt.kind != "f" or bool(np.isfinite(planes).all())
+
+
 def _decode(stream, kind: VolumeKind | None, source) -> tuple[NiftiHeader, Volume3D]:
     """The header and volume of the file bytes in ``stream``, read to its end."""
     head = _read(stream, HEADER_SIZE)
@@ -260,6 +278,7 @@ def _decode(stream, kind: VolumeKind | None, source) -> tuple[NiftiHeader, Volum
     slope, inter = header.scl_slope, header.scl_inter
     identity = dt.kind in "iu" and slope == 1.0 and inter == 0.0
     scaled = math.isfinite(slope) and slope != 0.0 and not identity
+    scale = (slope, inter) if scaled else None
     if kind is None:
         kind = VolumeKind.PET_SUV if dt.kind == "f" else VolumeKind.LABEL
     # unscaled integer labels go straight to int32, everything else to float64
@@ -269,8 +288,8 @@ def _decode(stream, kind: VolumeKind | None, source) -> tuple[NiftiHeader, Volum
     while size < offset and (skipped := len(_read(stream, min(offset - size, _CHUNK)))):
         size += skipped
     out = into = None
-    z, finite = 0, True
-    while z < nz:
+    finite = True
+    for z in range(0, nz, run):
         n = min(run, nz - z)
         data = _read(stream, n * plane)
         size += len(data)
@@ -279,19 +298,10 @@ def _decode(stream, kind: VolumeKind | None, source) -> tuple[NiftiHeader, Volum
                 f"{source}: need {offset + nz * plane} bytes for shape {header.shape}, got {size}"
             )
         if out is None:  # allocated once the file has shown data, not on the header's word
-            out = np.empty((nx, ny, nz), np.int32 if integer else np.float64)
+            out = np.empty((nx, ny, nz), np.int32 if integer else np.float64, order="F")
             into = np.flip(out, header.flipped_axes)
-        flat = np.frombuffer(data, dt)
-        if dt.kind == "f" and finite:
-            finite = bool(np.isfinite(flat).all())
-        planes = flat.reshape(n, ny, nx).transpose(2, 1, 0)  # x fastest on disk
-        dst = into[:, :, z:z + n]
-        if scaled:
-            np.multiply(planes, slope, out=dst, dtype=np.float64)
-            np.add(dst, inter, out=dst)
-        else:
-            np.copyto(dst, planes)
-        z += n
+        finite = _convert(data, dt, into[:, :, z:z + n], scale) and finite
+        del data  # only the result is held while the next run is read
     _drain(stream)
     if not finite:
         raise IoFailure(f"{source}: NaN or infinite voxel values")

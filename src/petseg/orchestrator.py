@@ -322,8 +322,9 @@ def _ensemble_mean(folds: dict, stack: ChannelStack, flips, on_invoke, first=())
                 raise result
             out, invocation = result
             if flip == flips[0]:
-                # a copy: the predictor may hand back a buffer it still owns
-                acc = np.array(out.data, dtype=np.float64, order="C")
+                # a copy, in the output's layout: the predictor may hand
+                # back a buffer it still owns
+                acc = np.array(out.data, dtype=np.float64, order="K")
             else:
                 acc += out.data
             if flip == flips[-1]:

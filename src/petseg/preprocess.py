@@ -123,7 +123,9 @@ def _linear_pass(data: np.ndarray, axis: int, lo, hi, f) -> np.ndarray:
     return out
 
 
-_SLAB_BUDGET_ELEMS = 1_500_000  # keep per-slab temporaries near 12 MB
+# per-slab temporaries near 4 MB; 12 MB ones ran slower, and the freed ones
+# stayed resident in the allocator's heap, raising a run's peak RSS
+_SLAB_BUDGET_ELEMS = 500_000
 
 
 def resample_trilinear(vol: Volume3D, target) -> Volume3D:
@@ -134,11 +136,14 @@ def resample_trilinear(vol: Volume3D, target) -> Volume3D:
     is clipped to the input range, which the exact arithmetic already
     guarantees up to float rounding; the range is taken slab by slab.
 
-    Work proceeds in output-x slabs: each takes the input x rows it needs
-    and runs the single-axis linear pass along z, then x, then y, the
-    arithmetic of a whole-volume pass. A slab holds as many x rows as fit
-    ``_SLAB_BUDGET_ELEMS`` at the larger of the input and output y·z
-    planes, so temporaries stay small when shrinking and when growing.
+    Work proceeds in slabs along the axis that is outermost in memory, x
+    for a C-ordered input and z for an x-fastest one, and the output keeps
+    the input's layout. Each slab takes the input rows it needs and runs
+    the single-axis linear pass along z, then x, then y, the arithmetic of
+    a whole-volume pass, so every layout gives the same bits. A slab holds
+    as many rows as fit ``_SLAB_BUDGET_ELEMS`` at the larger of the input
+    and output planes across it, so temporaries stay small when shrinking
+    and when growing.
     """
     if vol.kind is VolumeKind.LABEL:
         raise ValidationError("trilinear resampling is not defined for LABEL volumes")
@@ -147,26 +152,33 @@ def resample_trilinear(vol: Volume3D, target) -> Volume3D:
         return Volume3D(vol.data.copy(), vol.spacing, vol.kind)
 
     out_shape = _output_shape(vol.shape, vol.spacing, target)
-    src = vol.data
-    (x_lo, x_hi, fx), y, z = map(_axis_weights, src.shape, out_shape, vol.spacing, target)
-    plane = max(src.shape[1], out_shape[1]) * max(src.shape[2], out_shape[2])
+    weights = list(map(_axis_weights, vol.shape, out_shape, vol.spacing, target))
+    passes = (2, 0, 1)  # z, then x, then y
+    x_fastest = abs(vol.data.strides[0]) < abs(vol.data.strides[2])
+    result = np.empty(out_shape, dtype=np.float64, order="F" if x_fastest else "C")
+    src, out = vol.data, result
+    if x_fastest:  # work on the C-ordered (z, y, x) views
+        src, out, weights, passes = src.T, out.T, weights[::-1], (0, 2, 1)
+    plane = max(src.shape[1], out.shape[1]) * max(src.shape[2], out.shape[2])
     rows = max(1, _SLAB_BUDGET_ELEMS // plane)
-    out = np.empty(out_shape, dtype=np.float64)
+    row_lo, row_hi, row_f = weights[0]
     lo, hi = np.inf, -np.inf
-    seen = 0  # input x rows [0, seen) are in the clip range (lo, hi)
-    for i0 in range(0, out_shape[0], rows):
-        i1 = min(i0 + rows, out_shape[0])
-        first, last = int(x_lo[i0]), int(x_hi[i1 - 1]) + 1
+    seen = 0  # input rows [0, seen) are in the clip range (lo, hi)
+    for i0 in range(0, out.shape[0], rows):
+        i1 = min(i0 + rows, out.shape[0])
+        first, last = int(row_lo[i0]), int(row_hi[i1 - 1]) + 1
         if seen < last:  # this slab's new rows, and any a downsampling step skipped
             lo, hi = np.minimum(lo, src[seen:last].min()), np.maximum(hi, src[seen:last].max())
             seen = last
-        a = _linear_pass(src[first:last], 2, *z)
-        a = _linear_pass(a, 0, x_lo[i0:i1] - first, x_hi[i0:i1] - first, fx[i0:i1])
-        out[i0:i1] = _linear_pass(a, 1, *y)
+        slab = [(row_lo[i0:i1] - first, row_hi[i0:i1] - first, row_f[i0:i1]), *weights[1:]]
+        a = src[first:last]
+        for axis in passes:
+            a = _linear_pass(a, axis, *slab[axis])
+        out[i0:i1] = a
     if seen < src.shape[0]:
         lo, hi = np.minimum(lo, src[seen:].min()), np.maximum(hi, src[seen:].max())
     np.clip(out, lo, hi, out=out)
-    return Volume3D(out, target, vol.kind)
+    return Volume3D(result, target, vol.kind)
 
 
 def resample_nearest(vol: Volume3D, target) -> Volume3D:

@@ -159,25 +159,30 @@ def random_phantom_spec(style: TracerStyle, seed: int) -> PhantomSpec:
 
 
 def synth_cases(n: int, seed: int = 0):
-    """Yield ``(labeled_mip, pet, ct, lesion)`` for cases 0..n-1 of a corpus.
+    """An iterator of ``(labeled_mip, pet, ct, lesion)`` for cases 0..n-1
+    of a corpus, each made when it is reached.
 
     Even cases are FDG-like and odd cases PSMA-like; case ``i`` draws its
     phantom from child ``i`` of ``seed`` and is named ``synth_{i:04d}``.
     The MIP is the classifier input :func:`discriminator_mip` makes.
-    Raises ``ValidationError`` unless ``n >= 1`` and ``seed >= 0``.
+    Raises ``ValidationError`` unless ``n >= 1`` and ``seed >= 0``, on the
+    call itself, before any case is made.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    for i in range(n):
-        style = TracerStyle.FDG_LIKE if i % 2 == 0 else TracerStyle.PSMA_LIKE
-        item_seed = int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0])
-        spec = random_phantom_spec(style, item_seed)
-        pet, ct, lesion = make_phantom(spec)
-        mip = discriminator_mip(pet)
-        label = 0 if style is TracerStyle.FDG_LIKE else 1
-        yield LabeledMip(mip, label, f"synth_{i:04d}"), pet, ct, lesion
+    return (_synth_case(i, seed) for i in range(n))
+
+
+def _synth_case(i: int, seed: int):
+    style = TracerStyle.FDG_LIKE if i % 2 == 0 else TracerStyle.PSMA_LIKE
+    item_seed = int(np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(1)[0])
+    spec = random_phantom_spec(style, item_seed)
+    pet, ct, lesion = make_phantom(spec)
+    mip = discriminator_mip(pet)
+    label = 0 if style is TracerStyle.FDG_LIKE else 1
+    return LabeledMip(mip, label, f"synth_{i:04d}"), pet, ct, lesion
 
 
 def make_mip_dataset(n: int, seed: int = 0) -> list[LabeledMip]:

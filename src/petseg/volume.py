@@ -2,9 +2,11 @@
 
 ``Volume3D`` is the carrier type for PET, CT, label and probability data.
 Arrays use shape ``(nx, ny, nz)`` with x = left-right, y =
-anterior-posterior, z = inferior-superior; on disk the same data is laid
-out x-fastest (Fortran order), which the NIfTI layer takes care of.
-Values are treated as immutable after construction.
+anterior-posterior, z = inferior-superior, indexed ``data[x, y, z]``.
+In memory, as on disk, volumes read from NIfTI are laid out x-fastest
+(Fortran order), and the array operations downstream keep that layout,
+so no stage copies a volume just to transpose it. Any layout gives the
+same values. Values are treated as immutable after construction.
 """
 
 from __future__ import annotations
@@ -109,7 +111,9 @@ class BinaryMask:
             raise ValidationError(f"mask must be 3D, got ndim={mask.ndim}")
         if mask.dtype != np.bool_:
             mask = mask.astype(bool)
-        object.__setattr__(self, "mask", np.ascontiguousarray(mask))
+        if not (mask.flags.c_contiguous or mask.flags.f_contiguous):
+            mask = np.ascontiguousarray(mask)
+        object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "spacing", _check_spacing(self.spacing))
 
     @classmethod

@@ -30,6 +30,13 @@ def rng():
     return np.random.default_rng(1234)
 
 
+@pytest.fixture(params=["C", "F"])
+def layout(request):
+    """The memory order of a test's input arrays: "C", or "F", x fastest as
+    NIfTI reads return them. Results must not depend on it."""
+    return request.param
+
+
 def random_volume(rng, shape=(5, 6, 7), spacing=(2.0, 1.5, 3.0), kind=VolumeKind.PET_SUV,
                   lo=0.0, hi=10.0):
     data = rng.uniform(lo, hi, size=shape)

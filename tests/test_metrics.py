@@ -109,6 +109,33 @@ class TestLargeVolumeOracle:
         assert np.array_equal(labels.data, ref.T)
 
 
+class TestLayout:
+    """Labels, counts and metrics do not depend on the masks' memory order."""
+
+    @pytest.mark.parametrize("connectivity", [6, 18, 26])
+    def test_connected_components(self, rng, layout, connectivity):
+        for _ in range(10):
+            m = rng.random((12, 11, 10)) < rng.uniform(0.05, 0.45)
+            mask = mask_of(np.asarray(m, order=layout))
+            assert mask.mask.flags[layout + "_CONTIGUOUS"]  # kept, not copied
+            labels, n = connected_components(mask, connectivity)
+            ref_labels, ref_n = bfs_components(m, connectivity)
+            assert n == ref_n
+            assert np.array_equal(labels.data, ref_labels)
+
+    @pytest.mark.parametrize("gt_layout", ["C", "F"])
+    def test_compute_case_metrics(self, rng, layout, gt_layout):
+        for _ in range(20):
+            pred = rng.random((16, 15, 14)) < rng.uniform(0.0, 0.3)
+            gt = rng.random((16, 15, 14)) < rng.uniform(0.0, 0.3)
+            got = compute_case_metrics(mask_of(np.asarray(pred, order=layout)),
+                                       mask_of(np.asarray(gt, order=gt_layout)), "t")
+            ref = naive_case_metrics(pred, gt, (1.0, 1.0, 1.0), 26)
+            assert (got.fpv_voxels, got.fnv_voxels) == (ref["fpv_voxels"], ref["fnv_voxels"])
+            assert (got.n_pred_components, got.n_gt_components) == (ref["n_pred"], ref["n_gt"])
+            assert got.dice == ref["dice"]
+
+
 class TestMetricsMemory:
     def test_case_metrics_peak_volume_equivalents(self, rng):
         x, y, z = np.ogrid[:128, :128, :160]

@@ -317,6 +317,23 @@ class TestStackedMeanOracle:
         assert np.array_equal(out.data, index_oracle(stack, 1, ALL_FLIPS))
 
 
+class TestLayout:
+    def test_ensemble_bytes_do_not_depend_on_layout(self, rng, layout):
+        # the SUV folds keep the input's layout, the index fold gives C order
+        stack = make_stack(rng, shape=(7, 6, 5))
+        laid = ChannelStack(tuple(ch.with_data(np.asarray(ch.data, order=layout)) for ch in stack.channels))
+        folds = (SuvThresholdPredictor(cap=7.0), IndexPredictor(1), SuvThresholdPredictor(cap=3.0))
+
+        def predict(fold, axes):
+            flipped = ChannelStack(tuple(ch.with_data(np.flip(ch.data, axes).copy()) for ch in stack.channels))
+            return folds[fold].predict(flipped).data
+
+        out = ensemble_predict(EnsembleConfig(folds=folds), laid).data
+        expected = stacked_ensemble_mean(predict, len(folds), [parse_flip(f) for f in ALL_FLIPS])
+        assert out.tobytes() == expected.tobytes()
+        assert out.flags[layout + "_CONTIGUOUS"]
+
+
 def flip_of(stack):
     """Name of the flip a predictor's input was made with, from its strides."""
     axes = [a for a, step in enumerate(stack.pet_clipped.data.strides) if step < 0]

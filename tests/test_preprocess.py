@@ -6,6 +6,7 @@ import pytest
 from petseg import preprocess
 from petseg.errors import InvalidSpacing, InvalidWindow, ShapeMismatch, ValidationError
 from petseg.preprocess import (
+    MIP_SPACING,
     ChannelStack,
     WindowSpec,
     build_channels,
@@ -154,6 +155,29 @@ class TestResampleTrilinear:
         assert out.shape == (200, 200, 200)
         transient = peak - out.data.nbytes
         assert transient <= 4 * preprocess._SLAB_BUDGET_ELEMS * 8, f"{transient / 1e6:.0f} MB"
+
+
+class TestResampleLayout:
+    """An x-fastest input is resampled in slabs along z, a C-ordered one
+    along x: the bytes are the same, and the output keeps the layout."""
+
+    @pytest.mark.parametrize("shape, spacing, target", [
+        ((23, 9, 31), (1.0, 2.0, 1.0), (3.5, 3.0, 3.2)),  # down, skipping rows
+        ((7, 6, 5), (3.0, 2.0, 2.5), (0.9, 1.1, 0.7)),  # up on every axis
+        ((40, 30, 50), (2.0, 2.0, 3.0), MIP_SPACING),  # a route PET's MIP step
+    ])
+    @pytest.mark.parametrize("budget", [1, None])  # one row per slab, or the default
+    def test_same_bytes_either_layout(self, rng, monkeypatch, layout, shape, spacing, target, budget):
+        data = rng.uniform(0.0, 30.0, size=shape)
+        laid = np.asarray(data, order=layout)
+        for axes in [(), (0, 2)]:  # and a flipped view, whose strides are negative
+            want = resample_trilinear(Volume3D(np.flip(data, axes).copy(), spacing), target).data
+            with monkeypatch.context() as patch:
+                if budget is not None:
+                    patch.setattr(preprocess, "_SLAB_BUDGET_ELEMS", budget)
+                got = resample_trilinear(Volume3D(np.flip(laid, axes), spacing), target).data
+            assert got.tobytes() == want.tobytes()
+            assert got.flags[layout + "_CONTIGUOUS"]
 
 
 class TestResampleNearest:

@@ -175,14 +175,14 @@ class TestConfigRanges:
         else:
             argv = {"train-disc": ["--manifest", str(corpus), "--out-model", str(case / "m.json")],
                     "cv-disc": ["--manifest", str(corpus), "--k", "2"],
-                    "synth": ["--n", "2", "--out-dir", str(case / "corpus")]}[command]
+                    "synth": ["--n", "2", "--out-dir", str(case / "corpus" / "cases")]}[command]
             rc = cli.main([command, *argv, flag, value])
         err = capsys.readouterr().err
         assert rc == 3
         assert f"{key} must be" in err
         assert "Traceback" not in err
         assert not (case / "mask.nii.gz").exists() and not (case / "m.json").exists()
-        assert not (case / "corpus" / "mip_manifest.json").exists()
+        assert not (case / "corpus").exists()  # synth makes no directory either
 
     @pytest.mark.parametrize("cap", ["1e999", "NaN", "0", "-1"])
     def test_suv_cap_must_be_finite_and_positive(self, case, capsys, cap):
