@@ -3,55 +3,8 @@
 NIfTI-1 I/O, spacing-aware resampling, 4-channel windowing, coronal-MIP
 tracer discrimination trained from scratch, organ-label fusion,
 tracer-routed ensemble inference with test-time augmentation, and
-Dice/FPV/FNV evaluation.
+Dice/FPV/FNV evaluation, each imported from its own module (the
+package root holds only ``__version__``).
 """
 
 __version__ = "0.1.0"
-
-from .volume import BinaryMask, Volume3D, VolumeKind
-from .nifti import NiftiHeader, parse_header, read_volume, write_volume
-from .preprocess import (
-    ChannelStack,
-    MipImage,
-    WindowSpec,
-    build_channels,
-    clip_intensity,
-    crop_pad_center,
-    discriminator_mip,
-    mip_coronal,
-    normalize_mip,
-    resample_nearest,
-    resample_trilinear,
-)
-from .discriminator import (
-    DiscriminatorModel,
-    LabeledMip,
-    TrainConfig,
-    Tracer,
-    cross_validate,
-    predict_tracer,
-    train_fold,
-)
-from .metrics import (
-    CaseMetrics,
-    connected_components,
-    dice,
-    evaluate_case,
-    false_negative_volume,
-    false_positive_volume,
-)
-from .fusion import DEFAULT_GROUPS, OrganGroupTable, merge_organ_masks, split_label_map
-from .orchestrator import (
-    EnsembleConfig,
-    ExternalPredictor,
-    RoutedResult,
-    SuvThresholdPredictor,
-    ensemble_predict,
-    make_suv_ensemble,
-    route,
-    threshold_mask,
-    tta_predict,
-)
-from .synthdata import PhantomSpec, TracerStyle, make_mip_dataset, make_phantom
-
-__all__ = [name for name in dir() if not name.startswith("_")]

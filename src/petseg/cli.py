@@ -55,6 +55,7 @@ from .preprocess import (
     MIP_SIZE,
     MIP_SPACING,
     PET_WINDOW,
+    SEGMENTATION_SPACING,
     SUV_CAP,
     WindowSpec,
     build_channels,
@@ -63,7 +64,7 @@ from .preprocess import (
     resample_trilinear,
 )
 from .synthdata import synth_cases
-from .volume import VolumeKind
+from .volume import BinaryMask, VolumeKind
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -318,8 +319,6 @@ def cmd_predict_tracer(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    from .volume import BinaryMask
-
     case_id, lesion_path, organ_paths = load_organ_manifest(args.manifest)
     lesion = BinaryMask.from_volume_foreground(nifti.read_volume(lesion_path, kind=VolumeKind.LABEL))
     masks = []
@@ -470,7 +469,7 @@ def build_parser() -> _Parser:
     p = add("resample", cmd_resample, "resample a volume to a target spacing")
     p.add_argument("--in", dest="infile", required=True, help="input volume")
     p.add_argument("--out", required=True, help="output volume")
-    p.add_argument("--spacing", type=_spacing_triple, default=(3.3, 3.3, 3.3),
+    p.add_argument("--spacing", type=_spacing_triple, default=SEGMENTATION_SPACING,
                    help="target spacing in mm (sx,sy,sz or a single value)")
     p.add_argument("--mode", choices=["trilinear", "nearest"], default="trilinear",
                    help="interpolation; nearest treats the input as labels")

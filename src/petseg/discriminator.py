@@ -125,9 +125,9 @@ class DiscriminatorModel:
         self.files = files  # the model manifest and weights blob it was loaded from
 
     @classmethod
-    def fresh(cls, seed: int, specs=DEFAULT_ARCH) -> "DiscriminatorModel":
+    def fresh(cls, seed: int) -> "DiscriminatorModel":
         rng = np.random.default_rng(seed)
-        return cls(Network(specs, rng, input_shape=INPUT_SHAPE), seed=seed)
+        return cls(Network(DEFAULT_ARCH, rng, input_shape=INPUT_SHAPE), seed=seed)
 
     def save(self, manifest_path) -> None:
         save_model(manifest_path, self.network.parameters(), self.network.specs, seed=self.seed)
@@ -410,7 +410,8 @@ def save_mip_dataset(out_dir, mips) -> Path:
 def load_mip_dataset(manifest_path) -> list[LabeledMip]:
     """Load a manifest of {case_id, mip_path, label} entries; each
     ``mip_path`` is relative to the manifest and read by :func:`read_mip`,
-    and each ``label`` is the JSON integer 0 (FDG) or 1 (PSMA)."""
+    each ``label`` is the JSON integer 0 (FDG) or 1 (PSMA), and no
+    ``case_id`` appears twice (a copy on each side of a split would leak)."""
     manifest_path = Path(manifest_path)
     try:
         entries = json.loads(manifest_path.read_text())
@@ -418,10 +419,14 @@ def load_mip_dataset(manifest_path) -> list[LabeledMip]:
         raise IoFailure(f"cannot read manifest {manifest_path}: {exc}") from exc
     if not isinstance(entries, list):
         raise IoFailure(f"manifest {manifest_path} must hold a JSON list of entries")
+    seen = set()
     for i, e in enumerate(entries):
         if not (isinstance(e, dict) and "case_id" in e and isinstance(e.get("mip_path"), str)
                 and type(e.get("label")) is int and e["label"] in (0, 1)):
             raise IoFailure(f"manifest {manifest_path} entry {i} is not "
                             f"{{case_id, mip_path: string, label: 0 or 1}}: {e!r}")
+        if str(e["case_id"]) in seen:
+            raise IoFailure(f"manifest {manifest_path} entry {i} repeats case_id {str(e['case_id'])!r}")
+        seen.add(str(e["case_id"]))
     return [LabeledMip(read_mip(manifest_path.parent / e["mip_path"]), e["label"], str(e["case_id"]))
             for e in entries]

@@ -67,9 +67,8 @@ DEFAULT_GROUPS = OrganGroupTable((
 ))
 
 
-def merge_organ_masks(masks, lesion: BinaryMask, table: OrganGroupTable = DEFAULT_GROUPS,
-                      ignore_unknown: bool = False) -> Volume3D:
-    """Fuse named organ masks plus the lesion mask into a label volume.
+def merge_organ_masks(masks, lesion: BinaryMask, ignore_unknown: bool = False) -> Volume3D:
+    """Fuse named organ masks plus the lesion mask into a ``DEFAULT_GROUPS`` label volume.
 
     ``masks`` is an iterable of (name, BinaryMask). A voxel gets the
     highest group id claiming it; lesion voxels always carry the lesion id.
@@ -78,12 +77,12 @@ def merge_organ_masks(masks, lesion: BinaryMask, table: OrganGroupTable = DEFAUL
     claimed: dict[int, np.ndarray] = {}
     for name, mask in masks:
         require_same_grid(lesion, mask, "organ masks")
-        group = table.group_for_mask(name)
+        group = DEFAULT_GROUPS.group_for_mask(name)
         if group is None:
             if ignore_unknown:
                 continue
             raise UnknownMaskName(f"mask name {name!r} is not in the organ group table")
-        if group.group_id == table.lesion_id:
+        if group.group_id == DEFAULT_GROUPS.lesion_id:
             raise ValidationError("pass the lesion mask via the dedicated argument")
         if group.group_id in claimed:
             claimed[group.group_id] |= mask.mask
@@ -93,13 +92,13 @@ def merge_organ_masks(masks, lesion: BinaryMask, table: OrganGroupTable = DEFAUL
     out = np.zeros(lesion.shape, dtype=np.int32)
     for group_id in sorted(claimed):
         out[claimed[group_id]] = group_id
-    out[lesion.mask] = table.lesion_id
+    out[lesion.mask] = DEFAULT_GROUPS.lesion_id
     return Volume3D(out, lesion.spacing, VolumeKind.LABEL)
 
 
-def split_label_map(fused: Volume3D, group_id: int, table: OrganGroupTable = DEFAULT_GROUPS) -> BinaryMask:
-    """Mask of voxels equal to ``group_id`` (0 selects background)."""
-    if group_id != 0 and table.group_by_id(group_id) is None:
+def split_label_map(fused: Volume3D, group_id: int) -> BinaryMask:
+    """Mask of voxels equal to ``group_id`` of ``DEFAULT_GROUPS`` (0 selects background)."""
+    if group_id != 0 and DEFAULT_GROUPS.group_by_id(group_id) is None:
         raise UnknownGroupId(f"group id {group_id} is not in the table")
     return BinaryMask.from_label_volume(fused, group_id)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import blas
+from . import __version__, blas
 from .errors import IoFailure
 
 TOOL_NAME = "petseg"
@@ -79,8 +79,6 @@ def write_run_manifest(target, subcommand: str, config: dict, inputs=(),
                        host: dict | None = None) -> Path:
     """Write the manifest of ``target``; its ``seed`` is ``config["seed"]``
     (None without one), and ``host`` adds entries to its host section."""
-    from . import __version__
-
     doc = {
         "tool": TOOL_NAME,
         "version": __version__,

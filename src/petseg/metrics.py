@@ -198,9 +198,11 @@ def evaluate_case(pred_path, gt_path, case_id: str | None = None, connectivity: 
                   lesion_label: int | None = None) -> CaseMetrics:
     """Load two label volumes and compute all per-case metrics.
 
-    Foreground is ``voxel == lesion_label`` when given, else any nonzero
-    voxel. ``case_id`` defaults to ``case_id_of(pred_path)``.
+    Foreground is ``voxel == lesion_label`` (>= 1) when given, else any
+    nonzero voxel. ``case_id`` defaults to ``case_id_of(pred_path)``.
     """
+    if lesion_label is not None and lesion_label < 1:
+        raise ValidationError(f"lesion_label must be >= 1, got {lesion_label}")
     pred_vol = nifti.read_volume(pred_path, kind=VolumeKind.LABEL)
     gt_vol = nifti.read_volume(gt_path, kind=VolumeKind.LABEL)
     require_same_grid(pred_vol, gt_vol, "pred/gt volumes")

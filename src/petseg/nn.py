@@ -414,21 +414,20 @@ class Network:
         return {k: v.copy() for k, v in self.parameters().items()}
 
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's defaults (Kingma & Ba, 2015)
+
+
 class AdamW:
-    """Adam with decoupled weight decay.
+    """Adam with decoupled weight decay, at ``_BETA1``, ``_BETA2`` and ``_EPS``.
 
     The decay w <- w - lr * wd * w is applied independently of the
     bias-corrected moment update; the step count is shared across all
     parameters and incremented once per call.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-4, weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -440,19 +439,19 @@ class AdamW:
             if g is None or g.shape != p.shape:
                 raise ShapeError(f"gradient for {name} missing or wrong shape")
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - _BETA1**self.t
+        bc2 = 1.0 - _BETA2**self.t
         for name, p in self.params.items():
             g = grads[name]
             if self.weight_decay != 0.0:
                 p -= self.lr * self.weight_decay * p
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * (g * g)
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
 
 
 # ---------------------------------------------------------------------------

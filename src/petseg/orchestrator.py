@@ -45,6 +45,7 @@ from . import nifti
 from .discriminator import DiscriminatorModel, Tracer, predict_tracer
 from .errors import BudgetExceededWarning, PredictorFailure, ValidationError
 from .preprocess import (
+    SEGMENTATION_SPACING,
     SUV_CAP,
     ChannelStack,
     WindowSpec,
@@ -153,23 +154,23 @@ class ExternalPredictor(Predictor):
     For each call the stack's four channels are written as uncompressed
     ``.nii`` files and a request JSON {case_id, channel_paths,
     target_spacing, output_path} is passed as the process's single
-    argument. ``target_spacing`` names the grid the backend should segment
-    on; the orchestrator itself never resamples. A nonzero exit or missing
-    output raises PredictorFailure, and so does a call that outlives
-    ``timeout``: the backend runs in its own session, and its whole process
-    group is killed. The ensemble runs its calls one at a time.
+    argument. ``target_spacing`` is ``SEGMENTATION_SPACING``, the grid the
+    backend should segment on; the orchestrator itself never resamples. A
+    nonzero exit or missing output raises PredictorFailure, and so does a
+    call that outlives ``timeout``: the backend runs in its own session,
+    and its whole process group is killed. The ensemble runs its calls one
+    at a time.
     """
 
     # each call starts a model process; two at once is unmeasured
     concurrent_calls = False
 
-    def __init__(self, command, name: str | None = None, target_spacing=(3.3, 3.3, 3.3),
-                 case_id: str = "case", workdir=None, timeout: float | None = None):
+    def __init__(self, command, name: str | None = None, case_id: str = "case", workdir=None,
+                 timeout: float | None = None):
         self.command = tuple(str(c) for c in command)
         if not self.command:
             raise ValidationError("external predictor needs a non-empty command")
         self.name = name or Path(self.command[0]).name
-        self.target_spacing = tuple(float(s) for s in target_spacing)
         self.case_id = case_id
         self.workdir = workdir
         self.timeout = timeout
@@ -186,7 +187,7 @@ class ExternalPredictor(Predictor):
             request = {
                 "case_id": self.case_id,
                 "channel_paths": channel_paths,
-                "target_spacing": list(self.target_spacing),
+                "target_spacing": list(SEGMENTATION_SPACING),
                 "output_path": str(out_path),
             }
             request_path = tmp / "request.json"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidWindow, ShapeMismatch, ValidationError
+from .errors import InvalidWindow, ValidationError
 from .volume import Volume3D, VolumeKind, _check_spacing, require_same_grid
 
 PET_WINDOW = (0.0, 20.0)     # SUV
@@ -22,6 +22,7 @@ CT_WINDOW = (-300.0, 400.0)  # HU
 MIP_SPACING = (3.0, 3.0, 3.0)
 MIP_SIZE = 224
 SUV_CAP = 20.0
+SEGMENTATION_SPACING = (3.3, 3.3, 3.3)  # asked of external backends; resample's default
 
 
 @dataclass(frozen=True)
@@ -233,38 +234,36 @@ def mip_coronal(vol: Volume3D) -> np.ndarray:
     return vol.data.max(axis=1)
 
 
-def crop_pad_center(
-    img: np.ndarray, out_size: int = MIP_SIZE, source_spacing: tuple[float, float] = (1.0, 1.0)
-) -> MipImage:
-    """Center ``img`` inside a zero-filled out_size x out_size frame.
+def crop_pad_center(img: np.ndarray, source_spacing: tuple[float, float] = (1.0, 1.0)) -> MipImage:
+    """Center ``img`` inside a zero-filled MIP_SIZE x MIP_SIZE frame.
 
     The input's center pixel floor(n/2) lands at output index
-    floor(out_size/2) on each axis; larger inputs are center-cropped with
+    floor(MIP_SIZE/2) on each axis; larger inputs are center-cropped with
     the same convention.
     """
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2 or min(img.shape) < 1:
         raise ValidationError(f"expected a non-empty 2D image, got shape {img.shape}")
 
-    out = np.zeros((out_size, out_size), dtype=np.float64)
+    out = np.zeros((MIP_SIZE, MIP_SIZE), dtype=np.float64)
     src = [slice(None)] * 2
     dst = [slice(None)] * 2
     for axis, n in enumerate(img.shape):
-        if n <= out_size:
-            off = out_size // 2 - n // 2
+        if n <= MIP_SIZE:
+            off = MIP_SIZE // 2 - n // 2
             src[axis] = slice(0, n)
             dst[axis] = slice(off, off + n)
         else:
-            start = n // 2 - out_size // 2
-            src[axis] = slice(start, start + out_size)
-            dst[axis] = slice(0, out_size)
+            start = n // 2 - MIP_SIZE // 2
+            src[axis] = slice(start, start + MIP_SIZE)
+            dst[axis] = slice(0, MIP_SIZE)
     out[tuple(dst)] = img[tuple(src)]
     return MipImage(out, source_spacing)
 
 
-def normalize_mip(m: MipImage, cap: float = SUV_CAP) -> MipImage:
-    """Cap pixel values at ``cap`` and scale into [0, 1]."""
-    return MipImage(np.minimum(m.pixels, cap) / cap, m.source_spacing)
+def normalize_mip(m: MipImage) -> MipImage:
+    """Cap pixel values at SUV_CAP and scale into [0, 1]."""
+    return MipImage(np.minimum(m.pixels, SUV_CAP) / SUV_CAP, m.source_spacing)
 
 
 def discriminator_mip(pet: Volume3D) -> MipImage:
@@ -273,5 +272,5 @@ def discriminator_mip(pet: Volume3D) -> MipImage:
     ``SUV_CAP`` and scaled into [0, 1]. Training and inference both use it."""
     resampled = resample_trilinear(pet, MIP_SPACING)
     img = mip_coronal(resampled)
-    mip = crop_pad_center(img, MIP_SIZE, (resampled.spacing[0], resampled.spacing[2]))
+    mip = crop_pad_center(img, (resampled.spacing[0], resampled.spacing[2]))
     return normalize_mip(mip)

@@ -81,11 +81,6 @@ class Volume3D:
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape
 
-    @property
-    def voxel_volume_mm3(self) -> float:
-        sx, sy, sz = self.spacing
-        return sx * sy * sz
-
     def with_data(self, data: np.ndarray) -> "Volume3D":
         """New volume of the same kind on the same grid with different values."""
         return Volume3D(data, self.spacing, self.kind)

@@ -742,8 +742,10 @@ class TestMalformedInputManifests:
         [{"case_id": "a", "mip_path": 3, "label": 0}],
         ["a_mip.nii.gz"],
         {"case_id": "a", "mip_path": "a_mip.nii.gz", "label": 0},
+        [{"case_id": "a", "mip_path": "a_mip.nii.gz", "label": 0},
+         {"case_id": "a", "mip_path": "b_mip.nii.gz", "label": 1}],
     ], ids=["no_mip_path", "no_case_id", "label_1.5", "label_2", "label_string", "label_bool",
-            "mip_path_int", "entry_string", "not_a_list"])
+            "mip_path_int", "entry_string", "not_a_list", "repeated_case_id"])
     def test_train_disc_exits_2_naming_the_manifest(self, tmp_path, capsys, doc):
         manifest = tmp_path / "bad_manifest.json"
         manifest.write_text(json.dumps(doc))

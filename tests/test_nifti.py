@@ -1,6 +1,8 @@
 import gzip
 import hashlib
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -807,3 +809,11 @@ class TestNonFiniteVoxels:
         nifti.write_volume(Volume3D(data, (1.0, 1.0, 1.0)), path)
         assert cli.main(["inspect", str(path)]) == 2
         assert "nan_pet.nii" in capsys.readouterr().err
+
+
+def test_import_loads_only_what_the_reader_uses():
+    # a fresh interpreter: this one has imported every petseg module already
+    probe = "import sys, petseg.nifti; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'petseg'))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["petseg", "petseg.blas", "petseg.errors", "petseg.manifest", "petseg.nifti",
+                           "petseg.volume"]

@@ -220,7 +220,7 @@ class TestAdamW:
 
     def test_matches_scalar_oracle(self):
         p = {"w": np.array([1.0])}
-        opt = AdamW(p, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
+        opt = AdamW(p, lr=1e-4, weight_decay=0.01)
         opt.step({"w": np.array([0.5])})
         ref = scalar_adamw(1.0, 0.5, 1, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8,
                            weight_decay=0.01)

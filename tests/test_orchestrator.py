@@ -592,7 +592,7 @@ class TestExternalPredictor:
         """))
         stack = make_stack(rng, shape=(3, 3, 3))
         pred = ExternalPredictor([sys.executable, str(script)], case_id="case_9",
-                                 target_spacing=(3.3, 3.3, 3.3), workdir=str(tmp_path))
+                                 workdir=str(tmp_path))
         try:
             pred.predict(stack)
         except PredictorFailure:

@@ -304,7 +304,7 @@ class TestMip:
 class TestCropPadCenter:
     def test_pad_offsets_100x150(self):
         img = np.ones((100, 150))
-        out = crop_pad_center(img, 224)
+        out = crop_pad_center(img)
         assert out.shape == (224, 224)
         # input occupies rows 62..161 (axis 0) and columns 37..186 (axis 1)
         assert np.all(out.pixels[62:162, 37:187] == 1.0)
@@ -314,11 +314,11 @@ class TestCropPadCenter:
 
     def test_identity_at_224(self, rng):
         img = rng.random((224, 224))
-        out = crop_pad_center(img, 224)
+        out = crop_pad_center(img)
         assert np.array_equal(out.pixels, img)
 
     def test_crop_constant(self):
-        out = crop_pad_center(np.ones((300, 300)), 224)
+        out = crop_pad_center(np.ones((300, 300)))
         assert out.shape == (224, 224)
         assert np.all(out.pixels == 1.0)
 
@@ -326,20 +326,20 @@ class TestCropPadCenter:
         for n in (9, 10, 223, 224, 225, 300):
             img = np.zeros((n, n))
             img[n // 2, n // 2] = 1.0
-            out = crop_pad_center(img, 224)
+            out = crop_pad_center(img)
             assert out.pixels[112, 112] == 1.0, f"n={n}"
 
     def test_always_224_for_any_size(self, rng):
         for _ in range(10):
             shape = tuple(int(s) for s in rng.integers(1, 400, size=2))
-            out = crop_pad_center(rng.random(shape), 224)
+            out = crop_pad_center(rng.random(shape))
             assert out.shape == (224, 224)
 
 
 class TestNormalizeMip:
     def test_cap_and_scale(self):
-        m = crop_pad_center(np.array([[0.0, 20.0], [40.0, 10.0]]), 4)
-        out = normalize_mip(m, 20.0)
+        m = crop_pad_center(np.array([[0.0, 20.0], [40.0, 10.0]]))
+        out = normalize_mip(m)
         assert out.pixels.max() == 1.0
         assert out.pixels.min() == 0.0
         vals = sorted(np.unique(out.pixels).tolist())

@@ -168,6 +168,8 @@ class TestConfigRanges:
         ("synth", "--seed", "-1", "seed"),
         ("synth", "--n", "-3", "n"),
         ("synth", "--n", "0", "n"),
+        ("evaluate", "--lesion-label", "0", "lesion_label"),
+        ("evaluate", "--lesion-label", "-1", "lesion_label"),
     ])
     def test_exit_3_naming_the_key(self, case, corpus, capsys, command, flag, value, key):
         if command == "run":
@@ -175,7 +177,9 @@ class TestConfigRanges:
         else:
             argv = {"train-disc": ["--manifest", str(corpus), "--out-model", str(case / "m.json")],
                     "cv-disc": ["--manifest", str(corpus), "--k", "2"],
-                    "synth": ["--n", "2", "--out-dir", str(case / "corpus" / "cases")]}[command]
+                    "synth": ["--n", "2", "--out-dir", str(case / "corpus" / "cases")],
+                    "evaluate": ["--pred-dir", str(case), "--gt-dir", str(case),
+                                 "--out", str(case / "corpus" / "metrics.csv")]}[command]
             rc = cli.main([command, *argv, flag, value])
         err = capsys.readouterr().err
         assert rc == 3
