@@ -396,8 +396,10 @@ def _build_ensemble(cfg: dict, case_id: str) -> tuple[EnsembleConfig, dict]:
         if not opts["command"]:
             raise ValidationError("external backend needs a 'command' list")
         folds = [ExternalPredictor(opts["command"], name=f"{opts['name']}_f{i}", case_id=case_id,
-                                   timeout=cfg["time_budget_s"])
+                                   timeout=cfg["time_budget_s"], fold=i)
                  for i in range(n_folds)]
+        # recorded in the manifest: the command each fold ran, {fold} filled in
+        opts["fold_commands"] = [p.command for p in folds]
         return EnsembleConfig(folds, **policy), opts
     raise ValidationError(f"unknown backend kind {kind!r}")
 

@@ -22,6 +22,13 @@ are summed in fold order: the result does not depend on configuration
 order or thread timing and is bitwise equal to the mean of the stacked
 outputs. ``on_invoke`` runs in that same order on the workers, and the
 calling thread only waits.
+
+Volumes are x-fastest, so a flip with ``x`` reverses the innermost axis.
+The range check of each output takes min and max, which do not depend on
+the order, over a view that walks memory forward. A backend that returns
+its output in its input's memory layout, as the SUV backend does, hands
+back a flipped view that the un-flip turns forward again, so the check
+and the add into the fold sum both run forward.
 """
 
 from __future__ import annotations
@@ -103,6 +110,14 @@ def flip_stack(stack: ChannelStack, flip: str) -> ChannelStack:
     return ChannelStack(tuple(flip_volume(ch, flip) for ch in stack.channels))
 
 
+def _memory_order(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``a`` with each negative-stride axis reversed, and those axes: a view
+    that walks memory forward, for work whose result does not depend on the
+    order of traversal (elementwise ops, min and max)."""
+    axes = tuple(i for i, step in enumerate(a.strides) if step < 0)
+    return np.flip(a, axes), axes
+
+
 def _read_only(stack: ChannelStack) -> ChannelStack:
     """Read-only views of the channels: predictors share the caller's
     buffers across every fold and flip, so none may write into them."""
@@ -122,7 +137,10 @@ class Predictor:
     last flip of one fold and the first of the next), so it must not
     mutate state shared between calls. Each call's output is added on
     its worker thread once the call before it is added, while the next
-    call runs.
+    call runs. An output in its input's memory layout, negative strides
+    on the same axes, is un-flipped into a forward array, so the add reads
+    memory forward; the range check is order-free and reads any output
+    forward.
     """
 
     name: str = "predictor"
@@ -143,35 +161,40 @@ class SuvThresholdPredictor(Predictor):
         self.name = name
 
     def predict(self, stack: ChannelStack) -> Volume3D:
-        prob = np.divide(stack.pet_clipped.data, self.cap)
+        # divide and clip in memory order, then hand back the input's layout
+        pet, axes = _memory_order(stack.pet_clipped.data)
+        prob = np.divide(pet, self.cap)
         np.clip(prob, 0.0, 1.0, out=prob)
-        return Volume3D(prob, stack.spacing, VolumeKind.PROBABILITY)
+        return Volume3D(np.flip(prob, axes), stack.spacing, VolumeKind.PROBABILITY)
 
 
 class ExternalPredictor(Predictor):
     """Subprocess backend speaking the file contract.
 
     For each call the stack's four channels are written as uncompressed
-    ``.nii`` files and a request JSON {case_id, channel_paths,
+    ``.nii`` files and a request JSON {case_id, fold, channel_paths,
     target_spacing, output_path} is passed as the process's single
-    argument. ``target_spacing`` is ``SEGMENTATION_SPACING``, the grid the
-    backend should segment on; the orchestrator itself never resamples. A
-    nonzero exit or missing output raises PredictorFailure, and so does a
-    call that outlives ``timeout``: the backend runs in its own session,
-    and its whole process group is killed. The ensemble runs its calls one
-    at a time.
+    argument. ``fold`` is the fold's index in its ensemble, so each fold
+    can load its own model, and a ``{fold}`` token in any ``command`` item
+    is replaced by it. ``target_spacing`` is ``SEGMENTATION_SPACING``, the
+    grid the backend should segment on; the orchestrator itself never
+    resamples. A nonzero exit or missing output raises PredictorFailure,
+    and so does a call that outlives ``timeout``: the backend runs in its
+    own session, and its whole process group is killed. The ensemble runs
+    its calls one at a time.
     """
 
     # each call starts a model process; two at once is unmeasured
     concurrent_calls = False
 
     def __init__(self, command, name: str | None = None, case_id: str = "case", workdir=None,
-                 timeout: float | None = None):
-        self.command = tuple(str(c) for c in command)
+                 timeout: float | None = None, fold: int = 0):
+        self.command = tuple(str(c).replace("{fold}", str(fold)) for c in command)
         if not self.command:
             raise ValidationError("external predictor needs a non-empty command")
         self.name = name or Path(self.command[0]).name
         self.case_id = case_id
+        self.fold = fold
         self.workdir = workdir
         self.timeout = timeout
 
@@ -186,6 +209,7 @@ class ExternalPredictor(Predictor):
             out_path = tmp / "probability.nii"
             request = {
                 "case_id": self.case_id,
+                "fold": self.fold,
                 "channel_paths": channel_paths,
                 "target_spacing": list(SEGMENTATION_SPACING),
                 "output_path": str(out_path),
@@ -274,8 +298,10 @@ def _run_predictor(predictor: Predictor, stack: ChannelStack, flip: str, fold: i
     wall = time.perf_counter() - t0
     if out.shape != stack.shape:
         raise PredictorFailure(predictor.name, f"output shape {out.shape} != input {stack.shape}")
-    # NaN compares false, so only this form of the range check rejects it
-    if out.data.size and not (out.data.min() >= 0.0 and out.data.max() <= 1.0):
+    # NaN compares false, so only this form of the range check rejects it;
+    # min and max do not depend on the order, so walk memory forward
+    data, _ = _memory_order(out.data)
+    if data.size and not (data.min() >= 0.0 and data.max() <= 1.0):
         raise PredictorFailure(predictor.name, "output probabilities outside [0, 1] or NaN")
     return flip_volume(out, flip), Invocation(predictor.name, fold, flip, wall)  # flips are involutions
 

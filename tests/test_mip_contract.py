@@ -114,7 +114,9 @@ class TestRunManifestAndBackend:
     def test_external_backend_resolved(self, case):
         backend = {"kind": "external", "command": ["true"]}
         ens, opts = cli._build_ensemble({**cli._RUN_DEFAULTS, "backend": backend}, "c1")
-        assert opts == {"kind": "external", "command": ("true",), "name": "external"}
+        assert opts == {"kind": "external", "command": ("true",), "name": "external",
+                        "fold_commands": [("true",)] * 6}
+        assert [p.fold for p in ens.folds] == list(range(6))
         assert [p.timeout for p in ens.folds] == [300.0] * 6
 
     @pytest.mark.parametrize("flag,expected", [("--no-soft-deadline", False), ("--soft-deadline", True)])

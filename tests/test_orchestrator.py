@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from petseg import nifti, orchestrator
+from petseg import cli, nifti, orchestrator
 from petseg.discriminator import DiscriminatorModel, Tracer
 from petseg.errors import PredictorFailure, ValidationError
 from petseg.orchestrator import (
@@ -333,6 +333,30 @@ class TestLayout:
         assert out.tobytes() == expected.tobytes()
         assert out.flags[layout + "_CONTIGUOUS"]
 
+    @pytest.mark.parametrize("flip", ALL_FLIPS)
+    def test_suv_output_keeps_its_input_layout(self, rng, layout, flip):
+        # so the un-flipped output the ensemble checks and adds walks memory forward
+        stack = make_stack(rng, shape=(7, 6, 5))
+        laid = ChannelStack(tuple(ch.with_data(np.asarray(ch.data, order=layout)) for ch in stack.channels))
+        flipped = flip_stack(laid, flip)
+        out = SuvThresholdPredictor(cap=7.0).predict(flipped)
+        assert all(step > 0 for step in flip_volume(out, flip).data.strides)
+        expected = np.clip(flipped.pet_clipped.data / 7.0, 0, 1)
+        assert out.data.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, -1e-12, 1 + 1e-12])
+    def test_range_check_reads_reversed_outputs(self, rng, layout, value):
+        class Reversed(Predictor):
+            name = "reversed"
+
+            def predict(self, stack):
+                bad = np.full(stack.shape, 0.5, order=layout)
+                bad[1, 2, 3] = value
+                return Volume3D(np.flip(bad, 0), stack.spacing, VolumeKind.PROBABILITY)
+
+        with pytest.raises(PredictorFailure, match="outside"):
+            tta_predict(Reversed(), make_stack(rng), ("identity",))
+
 
 def flip_of(stack):
     """Name of the flip a predictor's input was made with, from its strides."""
@@ -599,12 +623,49 @@ class TestExternalPredictor:
             pass  # the copied channel may not satisfy [0,1]; the request copy is what matters
         request = json.loads(capture.read_text())
         assert request["case_id"] == "case_9"
+        assert request["fold"] == 0
         assert len(request["channel_paths"]) == 4
         assert request["target_spacing"] == [3.3, 3.3, 3.3]
         assert "output_path" in request
         # plain .nii: gzip would cost far more than the write itself
         assert all(p.endswith(".nii") for p in request["channel_paths"])
         assert request["output_path"].endswith(".nii")
+
+    def test_each_fold_gets_its_index(self, tmp_path, rng):
+        # a backend whose fold model outputs 0.1 * (fold + 1) everywhere
+        script = tmp_path / "backend.py"
+        script.write_text(textwrap.dedent("""
+            import json, sys
+            import numpy as np
+            from petseg import nifti
+            from petseg.volume import Volume3D, VolumeKind
+
+            request = json.loads(open(sys.argv[1]).read())
+            shape = nifti.read_volume(request["channel_paths"][3]).shape
+            prob = np.full(shape, 0.1 * (request.get("fold", 0) + 1))
+            nifti.write_volume(Volume3D(prob, (1, 1, 1), VolumeKind.PROBABILITY), request["output_path"])
+        """))
+        backend = {"kind": "external", "command": [sys.executable, str(script)]}
+        ens, _ = cli._build_ensemble({**cli._RUN_DEFAULTS, "folds": 3, "backend": backend,
+                                      "tta_flips": ("identity", "x")}, "c1")
+        calls = []
+        out = ensemble_predict(ens, make_stack(rng, shape=(5, 4, 3)), on_invoke=calls.append)
+        assert [c.fold for c in calls] == [0, 0, 1, 1, 2, 2]
+        assert np.allclose(out.data, 0.2, rtol=0, atol=1e-7)
+
+    def test_fold_token_in_the_command(self, tmp_path, rng):
+        script = tmp_path / "backend.py"
+        script.write_text("import json, shutil, sys\n"
+                          "request = json.loads(open(sys.argv[2]).read())\n"
+                          "assert sys.argv[1] == f'fold-{request[\"fold\"]}'\n"
+                          "shutil.copy(request['channel_paths'][3], request['output_path'])\n")
+        backend = {"kind": "external", "command": [sys.executable, str(script), "fold-{fold}"]}
+        ens, opts = cli._build_ensemble({**cli._RUN_DEFAULTS, "folds": 2, "backend": backend}, "c1")
+        assert opts["fold_commands"] == [(sys.executable, str(script), f"fold-{i}") for i in range(2)]
+        stack = make_stack(rng, shape=(3, 3, 3))
+        stack = ChannelStack((*stack.channels[:3], stack.pet_clipped.with_data(stack.pet_clipped.data / 30)))
+        for fold in ens.folds:
+            assert np.allclose(fold.predict(stack).data, stack.pet_clipped.data, rtol=0, atol=1e-7)
 
     def test_nonzero_exit_raises(self, tmp_path, rng):
         script = tmp_path / "backend.py"
