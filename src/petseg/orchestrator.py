@@ -173,7 +173,7 @@ class ExternalPredictor(Predictor):
 
     For each call the stack's four channels are written as uncompressed
     ``.nii`` files and a request JSON {case_id, fold, channel_paths,
-    target_spacing, output_path} is passed as the process's single
+    target_spacing, output_path} is passed as the process's last
     argument. ``fold`` is the fold's index in its ensemble, so each fold
     can load its own model, and a ``{fold}`` token in any ``command`` item
     is replaced by it. ``target_spacing`` is ``SEGMENTATION_SPACING``, the
