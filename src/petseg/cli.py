@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -40,7 +39,7 @@ from .discriminator import (
 )
 from .errors import IoFailure, PetsegError, PredictorFailure, ValidationError
 from .fusion import load_organ_manifest, merge_organ_masks
-from .manifest import write_run_manifest
+from .manifest import span, span_tree, write_run_manifest
 from .metrics import case_id_of, evaluate_case, write_metrics_csv
 from .orchestrator import (
     N_FOLDS,
@@ -182,14 +181,13 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(**_resolve(dataclasses.asdict(TrainConfig()), {"": file_cfg}, args))
 
 
-def _write_manifest(args, target, resolved: dict | None = None, timings: dict | None = None, **fields):
+def _write_manifest(args, target, resolved: dict | None = None, **fields):
     """The run manifest of subcommand ``args.command``. Its ``config`` is every
     parsed argument, overridden by the values the command ``resolved``; its
-    ``total_s`` counts from the start of :func:`main`."""
-    config = {k: v for k, v in vars(args).items() if k not in ("func", "command", "json", "started")}
+    ``timings`` are the spans under :func:`main`'s, which is timed so far."""
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "command", "json")}
     config.update(resolved or {})
-    timings = {**(timings or {}), "total_s": time.perf_counter() - args.started}
-    return write_run_manifest(target, args.command, config, timings=timings, **fields)
+    return write_run_manifest(target, args.command, config, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +310,10 @@ def cmd_predict_tracer(args) -> int:
     model = DiscriminatorModel.load(args.model)
     pet = nifti.read_volume(args.pet, kind=VolumeKind.PET_SUV)
     mip = discriminator_mip(pet)
-    prediction = predict_tracer(model, mip)
+    with span("discriminator") as timed:
+        prediction = predict_tracer(model, mip)
     print(f"tracer={prediction.tracer.name} probability={prediction.probability:.6f} "
-          f"wall_time_s={prediction.wall_time_s:.4f}")
+          f"wall_time_s={timed['s']:.4f}")
     return EXIT_PSMA if prediction.tracer is Tracer.PSMA else EXIT_FDG
 
 
@@ -416,19 +415,19 @@ def cmd_run(args) -> int:
                             "tta_flips": ens.tta_flips, "reduced_flips": ens.reduced_flips}
     window = WindowSpec(**_resolve(dataclasses.asdict(WindowSpec()), {"window.": doc.get("window", {})}))
 
-    ct, pet = _read_ct_pet(args)
-    disc = DiscriminatorModel.load(args.disc_model)
+    with span("read"):
+        ct, pet = _read_ct_pet(args)
+        disc = DiscriminatorModel.load(args.disc_model)
 
     result = route(ct, pet, disc, ensembles["fdg"], ensembles["psma"], window=window)
 
-    nifti.write_volume(result.mask.to_label_volume(), args.out)
-    if args.out_prob:
-        nifti.write_volume(result.prob_map, args.out_prob)
+    with span("write"):
+        nifti.write_volume(result.mask.to_label_volume(), args.out)
+        if args.out_prob:
+            nifti.write_volume(result.prob_map, args.out_prob)
     _write_manifest(
         args, args.out, {**settings, "window": dataclasses.asdict(window)},
         inputs=[args.ct, args.pet, *disc.files],
-        timings={"route": result.stage_timings,
-                 "invocation_s": [round(i.wall_time_s, 6) for i in result.invocations]},
         extra={
             "tracer": result.tracer.name,
             "tracer_probability": round(result.tracer_probability, 9),
@@ -441,9 +440,10 @@ def cmd_run(args) -> int:
             "budget_exceeded": result.budget_exceeded,
         },
     )
+    route_s = next(s["s"] for s in span_tree()["spans"] if s["name"] == "route")
     print(f"tracer={result.tracer.name} p={result.tracer_probability:.4f} "
           f"mask_voxels={result.mask.voxel_count} tta={','.join(result.tta_used)} "
-          f"wall={result.stage_timings['total_s']:.2f}s budget_exceeded={result.budget_exceeded}")
+          f"wall={route_s:.2f}s budget_exceeded={result.budget_exceeded}")
     return EXIT_OK
 
 
@@ -571,11 +571,10 @@ _EXIT_TABLE = (
 
 
 def main(argv=None) -> int:
-    started = time.perf_counter()
     args = build_parser().parse_args(argv)
-    args.started = started
     try:
-        return args.func(args)
+        with span(args.command):
+            return args.func(args)
     except (PetsegError, OSError) as exc:
         _, code, label = next(row for row in _EXIT_TABLE if isinstance(exc, row[0]))
         if getattr(args, "json", False):

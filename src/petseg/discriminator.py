@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import blas, nifti
 from .errors import DivergedLoss, EmptySplit, IoFailure, TooFewSamples, ValidationError
-from .manifest import atomic_write, write_csv
+from .manifest import atomic_write, span, write_csv
 from .nn import (
     AdamW,
     Conv2DSpec,
@@ -106,14 +105,13 @@ class EpochStats:
     train_bce: float
     val_bce: float
     val_acc: float
-    epoch_s: float = field(compare=False)  # wall time: not part of ==, as it varies run to run
+    epoch_s: float = field(compare=False)  # the epoch's span: not part of ==, as it varies run to run
 
 
 @dataclass(frozen=True)
 class TracerPrediction:
     probability: float
     tracer: Tracer
-    wall_time_s: float
 
 
 class DiscriminatorModel:
@@ -219,7 +217,7 @@ def train_fold(train, val, cfg: TrainConfig = TrainConfig()):
     Stops when validation BCE fails to improve by more than 1e-6 for
     ``cfg.patience`` consecutive epochs, or at ``cfg.max_epochs``. Returns
     (model, history) where the model carries the best-validation-epoch
-    parameters, not the last ones.
+    parameters, not the last ones. Each epoch is a span ``epoch {n}``.
     """
     if not train or not val:
         raise EmptySplit(f"need non-empty splits, got {len(train)} train / {len(val)} val")
@@ -240,19 +238,19 @@ def train_fold(train, val, cfg: TrainConfig = TrainConfig()):
 
     with _sharded(network) as run:
         for epoch in range(1, cfg.max_epochs + 1):
-            t0 = time.perf_counter()
-            perm = rng.permutation(len(train))
-            epoch_loss = 0.0
-            for i in range(0, len(train), cfg.batch_size):
-                loss, grads = _train_step(run, train, y_train, perm[i : i + cfg.batch_size])
-                opt.step(grads)
-                epoch_loss += loss
-            train_bce = epoch_loss / len(train)
+            with span(f"epoch {epoch}") as timed:
+                perm = rng.permutation(len(train))
+                epoch_loss = 0.0
+                for i in range(0, len(train), cfg.batch_size):
+                    loss, grads = _train_step(run, train, y_train, perm[i : i + cfg.batch_size])
+                    opt.step(grads)
+                    epoch_loss += loss
+                train_bce = epoch_loss / len(train)
 
-            val_bce, val_acc = _evaluate(run, val, y_val, cfg.batch_size)
-            if np.isnan(val_bce):
-                raise DivergedLoss(f"validation BCE is NaN at epoch {epoch}")
-            history.append(EpochStats(epoch, train_bce, val_bce, val_acc, time.perf_counter() - t0))
+                val_bce, val_acc = _evaluate(run, val, y_val, cfg.batch_size)
+                if np.isnan(val_bce):
+                    raise DivergedLoss(f"validation BCE is NaN at epoch {epoch}")
+            history.append(EpochStats(epoch, train_bce, val_bce, val_acc, timed["s"]))
 
             if val_bce < best_val - 1e-6:
                 best_val = val_bce
@@ -307,7 +305,7 @@ def cross_validate(data, k: int = 5, cfg: TrainConfig = TrainConfig()) -> CVResu
     """Stratified k-fold cross-validation of the tracer classifier.
 
     Accuracy per fold is the fraction of held-out cases whose thresholded
-    probability matches the label.
+    probability matches the label. Each fold runs in a span ``fold {f}``.
     """
     if k < 2:
         raise ValidationError(f"need k >= 2 folds, got {k}")
@@ -329,9 +327,10 @@ def cross_validate(data, k: int = 5, cfg: TrainConfig = TrainConfig()) -> CVResu
         fold_rng = np.random.default_rng(fold_seed)
 
         tr, val = train_val_split(rest, cfg.val_fraction, fold_rng)
-        model, _ = train_fold(tr, val, replace(cfg, seed=fold_seed))
-        with _sharded(model.network) as run:
-            _, acc = _evaluate(run, held, labels[folds[f]], cfg.batch_size)
+        with span(f"fold {f}"):
+            model, _ = train_fold(tr, val, replace(cfg, seed=fold_seed))
+            with _sharded(model.network) as run:
+                _, acc = _evaluate(run, held, labels[folds[f]], cfg.batch_size)
 
         accuracies.append(acc)
         fold_cases.append(tuple(m.case_id for m in held))
@@ -347,10 +346,8 @@ def predict_tracer(model: DiscriminatorModel, mip: MipImage) -> TracerPrediction
     """Classify one MIP; probability >= 0.5 means PSMA (ties included)."""
     _require_input_size(mip.shape, "predict_tracer")
     x = mip.pixels[None, None, :, :]
-    t0 = time.perf_counter()
     p = float(model.network.forward(x)[0, 0])
-    wall = time.perf_counter() - t0
-    return TracerPrediction(p, Tracer.PSMA if p >= 0.5 else Tracer.FDG, wall)
+    return TracerPrediction(p, Tracer.PSMA if p >= 0.5 else Tracer.FDG)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Reproducibility manifests written next to every CLI output.
 
 A manifest records the tool version, subcommand, fully resolved
-configuration, SHA-256 digests of the inputs, the PRNG seed and timing /
-host information. Re-running a seeded command with the same configuration
+configuration, SHA-256 digests of the inputs, the PRNG seed, host
+information and ``timings``: the tree of :func:`span` records, petseg's
+one clock. Re-running a seeded command with the same configuration
 reproduces outputs bit-for-bit; only the ``timings`` and ``host`` sections
 are expected to differ between runs.
 """
@@ -16,6 +17,9 @@ import json
 import os
 import platform
 import secrets
+import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +28,39 @@ from . import __version__, blas
 from .errors import IoFailure
 
 TOOL_NAME = "petseg"
+# the innermost open span of this context as (record, lap, enclosing entry)
+_OPEN: ContextVar[tuple | None] = ContextVar("petseg_span", default=None)
+
+
+@contextmanager
+def span(name: str):
+    """Time the block as ``{"name", "s", "spans"}``, yielded and added to the
+    ``spans`` of the innermost span open in this context; ``s`` is set as the
+    block ends, raising or not. Threads have their own contexts, so a task
+    nests only where ``copy_context().run`` carries the span that queued it."""
+    outer = _OPEN.get()
+    record = {"name": name, "s": 0.0, "spans": []}
+    if outer is not None:
+        outer[0]["spans"].append(record)
+    start = 0.0
+    def lap() -> float:  # seconds since ``start``; the first call, from 0, reads the start
+        return time.perf_counter() - start
+    start = lap()
+    token = _OPEN.set((record, lap, outer))
+    try:
+        yield record
+    finally:
+        _OPEN.reset(token)
+        record["s"] = lap()
+
+
+def span_tree() -> dict:
+    """The outermost span open here, each open span's ``s`` its time so far; or ``{}``."""
+    root, entry = {}, _OPEN.get()
+    while entry is not None:
+        root, lap, entry = entry
+        root["s"] = lap()
+    return root
 
 
 def sha256_file(path) -> str:
@@ -75,10 +112,10 @@ def manifest_path_for(target) -> Path:
 
 
 def write_run_manifest(target, subcommand: str, config: dict, inputs=(),
-                       timings: dict | None = None, extra: dict | None = None,
-                       host: dict | None = None) -> Path:
+                       extra: dict | None = None, host: dict | None = None) -> Path:
     """Write the manifest of ``target``; its ``seed`` is ``config["seed"]``
-    (None without one), and ``host`` adds entries to its host section."""
+    (None without one), its ``timings`` the :func:`span_tree` and ``host``
+    adds entries to its host section."""
     doc = {
         "tool": TOOL_NAME,
         "version": __version__,
@@ -86,7 +123,7 @@ def write_run_manifest(target, subcommand: str, config: dict, inputs=(),
         "config": config,
         "inputs": {str(p): sha256_file(p) for p in inputs},
         "seed": config.get("seed"),
-        "timings": timings or {},
+        "timings": span_tree(),
         "host": {
             "platform": platform.platform(),
             "python": platform.python_version(),

@@ -154,20 +154,6 @@ def _missed_voxels(mask: BinaryMask, other: BinaryMask, connectivity: int):
     return int(sizes.sum()), count
 
 
-def false_positive_volume(pred: BinaryMask, gt: BinaryMask, connectivity: int = 26):
-    """(voxels, mL) of predicted components that touch no ground truth."""
-    require_same_grid(pred, gt, "pred/gt masks")
-    voxels, _ = _missed_voxels(pred, gt, connectivity)
-    return voxels, voxels * pred.voxel_volume_mm3 / 1000.0
-
-
-def false_negative_volume(pred: BinaryMask, gt: BinaryMask, connectivity: int = 26):
-    """(voxels, mL) of ground-truth components the prediction misses."""
-    require_same_grid(pred, gt, "pred/gt masks")
-    voxels, _ = _missed_voxels(gt, pred, connectivity)
-    return voxels, voxels * gt.voxel_volume_mm3 / 1000.0
-
-
 def compute_case_metrics(pred: BinaryMask, gt: BinaryMask, case_id: str = "case",
                          connectivity: int = 26) -> CaseMetrics:
     require_same_grid(pred, gt, "pred/gt masks")
@@ -221,6 +207,8 @@ CSV_HEADER = [
     "case_id", "dice", "dice_defined", "fpv_voxels", "fpv_ml",
     "fnv_voxels", "fnv_ml", "n_pred_cc", "n_gt_cc",
 ]
+# the CaseMetrics fields of the columns after ``dice_defined``, averaged in the mean row
+_MEAN_KEYS = ("fpv_voxels", "fpv_ml", "fnv_voxels", "fnv_ml", "n_pred_components", "n_gt_components")
 
 
 def _row(m: CaseMetrics) -> list[str]:
@@ -248,15 +236,6 @@ def write_metrics_csv(path, cases) -> None:
     if cases:
         defined = [m.dice for m in cases if m.dice is not None]
         mean_dice = float(np.mean(defined)) if defined else float("nan")
-        rows.append([
-            "mean",
-            f"{mean_dice:.6f}",
-            str(len(defined)),
-            f"{np.mean([m.fpv_voxels for m in cases]):.6f}",
-            f"{np.mean([m.fpv_ml for m in cases]):.6f}",
-            f"{np.mean([m.fnv_voxels for m in cases]):.6f}",
-            f"{np.mean([m.fnv_ml for m in cases]):.6f}",
-            f"{np.mean([m.n_pred_components for m in cases]):.6f}",
-            f"{np.mean([m.n_gt_components for m in cases]):.6f}",
-        ])
+        means = (np.mean([getattr(m, key) for m in cases]) for key in _MEAN_KEYS)
+        rows.append(["mean", f"{mean_dice:.6f}", str(len(defined)), *(f"{v:.6f}" for v in means)])
     write_csv(path, rows)

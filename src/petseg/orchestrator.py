@@ -21,7 +21,8 @@ outputs into one running sum in canonical flip order, and the fold means
 are summed in fold order: the result does not depend on configuration
 order or thread timing and is bitwise equal to the mean of the stacked
 outputs. ``on_invoke`` runs in that same order on the workers, and the
-calling thread only waits.
+calling thread only waits. Each call runs in its own span, which the
+workers open under the span open where the ensemble was called.
 
 Volumes are x-fastest, so a flip with ``x`` reverses the innermost axis.
 The range check of each output takes min and max, which do not depend on
@@ -33,6 +34,7 @@ and the add into the fold sum both run forward.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import os
@@ -40,10 +42,9 @@ import signal
 import subprocess
 import tempfile
 import threading
-import time
 import warnings
 from concurrent.futures import CancelledError, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,7 @@ import numpy as np
 from . import nifti
 from .discriminator import DiscriminatorModel, Tracer, predict_tracer
 from .errors import BudgetExceededWarning, PredictorFailure, ValidationError
+from .manifest import span
 from .preprocess import (
     SEGMENTATION_SPACING,
     SUV_CAP,
@@ -243,7 +245,6 @@ class Invocation:
     predictor: str
     fold: int
     flip: str
-    wall_time_s: float
 
 
 @dataclass(frozen=True)
@@ -285,17 +286,16 @@ def make_suv_ensemble(n_folds: int = N_FOLDS, cap: float = SUV_CAP, **kwargs) ->
 
 
 def _run_predictor(predictor: Predictor, stack: ChannelStack, flip: str, fold: int):
-    """One checked call on the flipped stack: the un-flipped output and its
-    Invocation. ``stack`` must already be read-only."""
+    """One checked call on the flipped stack: the un-flipped output, its
+    Invocation and its span ``f{fold}.{flip}``. ``stack`` must be read-only."""
     flipped = flip_stack(stack, flip)
-    t0 = time.perf_counter()
     try:
-        out = predictor.predict(flipped)
+        with span(f"f{fold}.{flip}") as call:
+            out = predictor.predict(flipped)
     except PredictorFailure:
         raise
     except Exception as exc:
         raise PredictorFailure(predictor.name, repr(exc)) from exc
-    wall = time.perf_counter() - t0
     if out.shape != stack.shape:
         raise PredictorFailure(predictor.name, f"output shape {out.shape} != input {stack.shape}")
     # NaN compares false, so only this form of the range check rejects it;
@@ -303,7 +303,7 @@ def _run_predictor(predictor: Predictor, stack: ChannelStack, flip: str, fold: i
     data, _ = _memory_order(out.data)
     if data.size and not (data.min() >= 0.0 and data.max() <= 1.0):
         raise PredictorFailure(predictor.name, "output probabilities outside [0, 1] or NaN")
-    return flip_volume(out, flip), Invocation(predictor.name, fold, flip, wall)  # flips are involutions
+    return flip_volume(out, flip), Invocation(predictor.name, fold, flip), call  # flips are involutions
 
 
 def _ensemble_mean(folds: dict, stack: ChannelStack, flips, on_invoke, first=()) -> np.ndarray:
@@ -347,7 +347,7 @@ def _ensemble_mean(folds: dict, stack: ChannelStack, flips, on_invoke, first=())
                 prev.result()  # waits for task i - 1; raises the first failure before this task
             if isinstance(result, BaseException):
                 raise result
-            out, invocation = result
+            out, invocation, _ = result
             if flip == flips[0]:
                 # a copy, in the output's layout: the predictor may hand
                 # back a buffer it still owns
@@ -370,7 +370,7 @@ def _ensemble_mean(folds: dict, stack: ChannelStack, flips, on_invoke, first=())
             try:
                 last = None
                 for i in range(len(tasks)):
-                    last = pool.submit(task, i, last)
+                    last = pool.submit(contextvars.copy_context().run, task, i, last)
                 last.exception()  # waits for the whole chain
             except BaseException:  # an interrupt: the queued tasks skip their calls
                 stop.set()
@@ -407,7 +407,7 @@ def ensemble_predict(cfg: EnsembleConfig, stack: ChannelStack, on_invoke=None) -
     first = []
     if cfg.soft_deadline and len(flips) > len(cfg.reduced_flips):
         first.append(_run_predictor(cfg.folds[0], stack, "identity", 0))
-        projected = first[0][1].wall_time_s * len(cfg.folds) * len(flips)
+        projected = first[0][2]["s"] * len(cfg.folds) * len(flips)
         if projected > cfg.time_budget_s:
             flips = cfg.reduced_flips
 
@@ -429,7 +429,6 @@ class RoutedResult:
     mask: BinaryMask
     prob_map: Volume3D
     tta_used: tuple[str, ...]
-    stage_timings: dict[str, float] = field(default_factory=dict)
     invocations: tuple[Invocation, ...] = ()
     budget_exceeded: bool = False
 
@@ -437,42 +436,32 @@ class RoutedResult:
 def route(ct: Volume3D, pet: Volume3D, disc: DiscriminatorModel,
           cfg_fdg: EnsembleConfig, cfg_psma: EnsembleConfig,
           window: WindowSpec = WindowSpec()) -> RoutedResult:
-    """Full inference: discriminate the tracer, pick that tracer's
-    ensemble, run TTA ensembling and threshold the mean probability.
-
-    Exceeding the time budget only warns (BudgetExceededWarning); nothing
+    """Full inference in a span ``route``, one span per stage: discriminate
+    the tracer, pick that tracer's ensemble, run TTA ensembling and
+    threshold the mean probability. Exceeding the time budget, checked
+    against ``route``'s span, only warns (BudgetExceededWarning); nothing
     is killed mid-run.
     """
     require_same_grid(ct, pet, "ct/pet")
-    t_start = time.perf_counter()
-    timings: dict[str, float] = {}
-
-    t0 = time.perf_counter()
-    mip = discriminator_mip(pet)
-    timings["mip_pipeline_s"] = time.perf_counter() - t0
-
-    prediction = predict_tracer(disc, mip)
-    timings["discriminator_s"] = prediction.wall_time_s
-    cfg = cfg_psma if prediction.tracer is Tracer.PSMA else cfg_fdg
-
-    t0 = time.perf_counter()
-    stack = build_channels(ct, pet, window)
-    timings["windowing_s"] = time.perf_counter() - t0
-
     invocations: list[Invocation] = []
-    t0 = time.perf_counter()
-    prob = ensemble_predict(cfg, stack, on_invoke=invocations.append)
-    timings["ensemble_s"] = time.perf_counter() - t0
-
-    mask = threshold_mask(prob, cfg.decision_threshold)
-    wall = time.perf_counter() - t_start
-    timings["total_s"] = wall
+    with span("route") as timed:
+        with span("mip"):
+            mip = discriminator_mip(pet)
+        with span("discriminator"):
+            prediction = predict_tracer(disc, mip)
+        cfg = cfg_psma if prediction.tracer is Tracer.PSMA else cfg_fdg
+        with span("windowing"):
+            stack = build_channels(ct, pet, window)
+        with span("ensemble"):
+            prob = ensemble_predict(cfg, stack, on_invoke=invocations.append)
+        with span("threshold"):
+            mask = threshold_mask(prob, cfg.decision_threshold)
 
     flips_used = tuple(sorted({inv.flip for inv in invocations}, key=ALL_FLIPS.index))
-    exceeded = wall > cfg.time_budget_s
+    exceeded = timed["s"] > cfg.time_budget_s
     if exceeded:
         warnings.warn(
-            f"inference took {wall:.1f}s, over the {cfg.time_budget_s:.0f}s budget",
+            f"inference took {timed['s']:.1f}s, over the {cfg.time_budget_s:.0f}s budget",
             BudgetExceededWarning,
         )
     return RoutedResult(
@@ -481,7 +470,6 @@ def route(ct: Volume3D, pet: Volume3D, disc: DiscriminatorModel,
         mask=mask,
         prob_map=prob,
         tta_used=flips_used,
-        stage_timings=timings,
         invocations=tuple(invocations),
         budget_exceeded=exceeded,
     )

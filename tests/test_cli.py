@@ -354,10 +354,21 @@ class TestRunEndToEnd:
         assert manifest["result"]["tracer"] == "PSMA"
         assert manifest["result"]["tta_used"] == ["identity", "z"]
         assert len(manifest["result"]["invocations"]) == 4  # 2 folds x 2 flips
-        # route's own total, on which budget_exceeded was decided, within the command's
-        timings = manifest["timings"]
-        assert set(timings["route"]) >= {"mip_pipeline_s", "ensemble_s", "total_s"}
-        assert 0 < timings["route"]["total_s"] <= timings["total_s"]
+
+        def shape(node):  # the names; the two workers' predictor spans may open in either order
+            assert set(node) == {"name", "s", "spans"} and node["s"] >= 0
+            children = [shape(child) for child in node["spans"]]
+            return node["name"], sorted(children) if node["name"] == "ensemble" else children
+
+        predictors = [(f"f{fold}.{flip}", []) for fold in (0, 1) for flip in ("identity", "z")]
+        route = ("route", [("mip", []), ("discriminator", []), ("windowing", []),
+                           ("ensemble", predictors), ("threshold", [])])
+        root = manifest["timings"]
+        assert shape(root) == ("run", [("read", []), route, ("write", [])])
+        # route's own time, on which budget_exceeded was decided, within the command's
+        route_s = next(node["s"] for node in root["spans"] if node["name"] == "route")
+        assert 0 < route_s <= root["s"]
+        assert f"wall={route_s:.2f}s" in out
 
     def test_run_deterministic_byte_identical(self, tmp_path):
         write_phantom_files(tmp_path, seed=11)

@@ -192,7 +192,6 @@ class TestPredictTracer:
         pred = predict_tracer(model, mip)
         assert pred.probability == 0.5
         assert pred.tracer is Tracer.PSMA
-        assert pred.wall_time_s > 0.0
 
     def test_trained_model_classifies_fdg_like(self, rng):
         data = toy_dataset(rng, 32)

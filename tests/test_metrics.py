@@ -12,8 +12,6 @@ from petseg.metrics import (
     connected_components,
     dice,
     evaluate_case,
-    false_negative_volume,
-    false_positive_volume,
     write_metrics_csv,
 )
 from petseg import nifti
@@ -196,24 +194,24 @@ class TestDice:
 class TestFpvFnv:
     def test_all_components_overlap(self, rng):
         m = rng.random((6, 6, 6)) < 0.3
-        vox, ml = false_positive_volume(mask_of(m), mask_of(m))
-        assert vox == 0 and ml == 0.0
+        got = compute_case_metrics(mask_of(m), mask_of(m))
+        assert got.fpv_voxels == 0 and got.fpv_ml == 0.0
 
     def test_empty_prediction(self):
         gt = np.zeros((4, 4, 4), dtype=bool)
         gt[1, 1, 1] = True
-        vox, ml = false_positive_volume(mask_of(np.zeros((4, 4, 4))), mask_of(gt))
-        assert vox == 0 and ml == 0.0
+        got = compute_case_metrics(mask_of(np.zeros((4, 4, 4))), mask_of(gt))
+        assert got.fpv_voxels == 0 and got.fpv_ml == 0.0
 
     def test_ten_voxel_blob_at_3p3mm(self):
         # 10 isolated predicted voxels against empty gt at 3.3mm isotropic
         pred = np.zeros((10, 3, 3), dtype=bool)
         pred[:, 1, 1] = True
         spacing = (3.3, 3.3, 3.3)
-        vox, ml = false_positive_volume(mask_of(pred, spacing), mask_of(np.zeros((10, 3, 3)), spacing))
-        assert vox == 10
-        assert abs(ml - 10 * 3.3**3 / 1000.0) < 1e-12
-        assert abs(ml - 0.35937) < 1e-9
+        got = compute_case_metrics(mask_of(pred, spacing), mask_of(np.zeros((10, 3, 3)), spacing))
+        assert got.fpv_voxels == 10
+        assert abs(got.fpv_ml - 10 * 3.3**3 / 1000.0) < 1e-12
+        assert abs(got.fpv_ml - 0.35937) < 1e-9
 
     def test_fnv_missed_component(self):
         gt = np.zeros((9, 3, 3), dtype=bool)
@@ -221,26 +219,24 @@ class TestFpvFnv:
         gt[6:9, 1, 1] = True   # missed component (3 voxels)
         pred = np.zeros((9, 3, 3), dtype=bool)
         pred[0, 1, 1] = True
-        vox, _ = false_negative_volume(mask_of(pred), mask_of(gt))
-        assert vox == 3
+        assert compute_case_metrics(mask_of(pred), mask_of(gt)).fnv_voxels == 3
 
     def test_pred_equals_gt(self, rng):
         m = rng.random((5, 5, 5)) < 0.25
-        vox, _ = false_negative_volume(mask_of(m), mask_of(m))
-        assert vox == 0
+        assert compute_case_metrics(mask_of(m), mask_of(m)).fnv_voxels == 0
 
     def test_fpv_fnv_duality(self, rng):
         for _ in range(20):
             a = rng.random((6, 6, 6)) < 0.25
             b = rng.random((6, 6, 6)) < 0.25
-            assert false_positive_volume(mask_of(a), mask_of(b))[0] == \
-                false_negative_volume(mask_of(b), mask_of(a))[0]
+            assert compute_case_metrics(mask_of(a), mask_of(b)).fpv_voxels == \
+                compute_case_metrics(mask_of(b), mask_of(a)).fnv_voxels
 
     def test_adding_overlapping_voxel_never_raises_fpv(self, rng):
         for _ in range(10):
             pred = rng.random((6, 6, 6)) < 0.2
             gt = rng.random((6, 6, 6)) < 0.2
-            base, _ = false_positive_volume(mask_of(pred), mask_of(gt))
+            base = compute_case_metrics(mask_of(pred), mask_of(gt)).fpv_voxels
             overlap = pred & gt
             if not overlap.any():
                 continue
@@ -248,7 +244,7 @@ class TestFpvFnv:
             x, y, z = [int(v[0]) for v in np.nonzero(overlap)]
             grown = pred.copy()
             grown[max(0, x - 1), y, z] = True
-            after, _ = false_positive_volume(mask_of(grown), mask_of(gt))
+            after = compute_case_metrics(mask_of(grown), mask_of(gt)).fpv_voxels
             assert after <= base
 
     def test_random_16cube_sweep_against_oracle(self, rng):

@@ -13,6 +13,7 @@ import pytest
 from petseg import cli, nifti, orchestrator
 from petseg.discriminator import DiscriminatorModel, Tracer
 from petseg.errors import PredictorFailure, ValidationError
+from petseg.manifest import span
 from petseg.orchestrator import (
     ALL_FLIPS,
     EnsembleConfig,
@@ -760,10 +761,11 @@ class TestRoute:
                                  tta_flips=("identity",), reduced_flips=("identity",))
         cfg_psma = EnsembleConfig(folds=(Tagged(psma_calls, "psma_backend"),),
                                   tta_flips=("identity",), reduced_flips=("identity",))
-        result = route(ct, pet, model, cfg_fdg, cfg_psma)
+        with span("caller") as caller:
+            result = route(ct, pet, model, cfg_fdg, cfg_psma)
         assert result.tracer is Tracer.FDG
         assert fdg_calls and not psma_calls
-        assert result.stage_timings["total_s"] > 0
+        assert [s["name"] for s in caller["spans"]] == ["route"] and caller["spans"][0]["s"] > 0
         assert result.mask.shape == pet.shape
 
     def test_zero_weight_model_routes_psma(self, rng):
