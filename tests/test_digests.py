@@ -5,7 +5,10 @@ A module fixture runs, in one temporary directory:
 - ``synth --n 4 --seed 1 --with-volumes``;
 - ``train-disc --max-epochs 2`` on that corpus;
 - ``run`` (default 6 folds x 8 flips, with ``--out-prob``) on two cases;
-- ``evaluate`` of those two masks against their lesions;
+- ``evaluate`` of those two masks against their lesions, once with
+  ``--lesion-label 1``;
+- ``fuse`` of an organ manifest whose organs are the two masks and one
+  more lesion file, with the first case's lesion as its lesion;
 - ``cv-disc --k 2 --max-epochs 1 --out``.
 
 Each file it writes is digested. Manifests are digested without their
@@ -91,6 +94,14 @@ def make_outputs(root: Path) -> dict[str, str]:
                 "--out-prob", prob / f"{case}.nii.gz")
         shutil.copy(corpus / f"{case}_lesion.nii.gz", gt / f"{case}.nii.gz")
     _petseg("evaluate", "--pred-dir", pred, "--gt-dir", gt, "--out", root / "metrics.csv")
+    _petseg("evaluate", "--pred-dir", pred, "--gt-dir", gt, "--out", root / "metrics_label1.csv",
+            "--lesion-label", 1)
+    organs = {"liver": f"pred/{RUN_CASES[0]}.nii.gz", "spleen": f"pred/{RUN_CASES[1]}.nii.gz",
+              "kidney_left": "corpus/synth_0002_lesion.nii.gz"}
+    (root / "organs.json").write_text(json.dumps(
+        {"case_id": RUN_CASES[0], "lesion_path": f"corpus/{RUN_CASES[0]}_lesion.nii.gz", "organs": organs},
+        sort_keys=True))
+    _petseg("fuse", "--manifest", root / "organs.json", "--out", root / "fused.nii.gz")
     _petseg("cv-disc", "--manifest", manifest, "--k", 2, "--max-epochs", 1, "--out", root / "cv.csv")
 
     digests = {p.relative_to(root).as_posix(): hashlib.sha256(_canonical(p, root)).hexdigest()
