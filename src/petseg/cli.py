@@ -63,7 +63,7 @@ from .preprocess import (
     resample_trilinear,
 )
 from .synthdata import synth_cases
-from .volume import BinaryMask, VolumeKind
+from .volume import VolumeKind
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -266,7 +266,7 @@ def cmd_synth(args) -> int:
         if args.with_volumes:
             nifti.write_volume(pet, out_dir / f"{mip.case_id}_pet.nii.gz")
             nifti.write_volume(ct, out_dir / f"{mip.case_id}_ct.nii.gz")
-            nifti.write_volume(lesion.to_label_volume(), out_dir / f"{mip.case_id}_lesion.nii.gz")
+            nifti.write_volume(lesion, out_dir / f"{mip.case_id}_lesion.nii.gz")
         mips.append(mip)
     manifest_path = save_mip_dataset(out_dir, mips)
     _write_manifest(args, out_dir, extra={"mip_manifest": manifest_path.name})
@@ -319,11 +319,8 @@ def cmd_predict_tracer(args) -> int:
 
 def cmd_fuse(args) -> int:
     case_id, lesion_path, organ_paths = load_organ_manifest(args.manifest)
-    lesion = BinaryMask.from_volume_foreground(nifti.read_volume(lesion_path, kind=VolumeKind.LABEL))
-    masks = []
-    for name, path in sorted(organ_paths.items()):
-        vol = nifti.read_volume(path, kind=VolumeKind.LABEL)
-        masks.append((name, BinaryMask.from_volume_foreground(vol)))
+    lesion = nifti.read_volume(lesion_path, mask=True)
+    masks = [(name, nifti.read_volume(path, mask=True)) for name, path in sorted(organ_paths.items())]
     fused = merge_organ_masks(masks, lesion, ignore_unknown=args.ignore_unknown)
     nifti.write_volume(fused, args.out)
     _write_manifest(args, args.out, {"case_id": case_id},
@@ -422,7 +419,7 @@ def cmd_run(args) -> int:
     result = route(ct, pet, disc, ensembles["fdg"], ensembles["psma"], window=window)
 
     with span("write"):
-        nifti.write_volume(result.mask.to_label_volume(), args.out)
+        nifti.write_volume(result.mask, args.out)
         if args.out_prob:
             nifti.write_volume(result.prob_map, args.out_prob)
     _write_manifest(

@@ -182,22 +182,18 @@ def case_id_of(path) -> str:
 
 def evaluate_case(pred_path, gt_path, case_id: str | None = None, connectivity: int = 26,
                   lesion_label: int | None = None) -> CaseMetrics:
-    """Load two label volumes and compute all per-case metrics.
+    """Read two label files as masks and compute all per-case metrics.
 
     Foreground is ``voxel == lesion_label`` (>= 1) when given, else any
-    nonzero voxel. ``case_id`` defaults to ``case_id_of(pred_path)``.
+    nonzero voxel; each file is read straight into its mask
+    (``nifti.read_volume(..., mask=True)``). ``case_id`` defaults to
+    ``case_id_of(pred_path)``.
     """
     if lesion_label is not None and lesion_label < 1:
         raise ValidationError(f"lesion_label must be >= 1, got {lesion_label}")
-    pred_vol = nifti.read_volume(pred_path, kind=VolumeKind.LABEL)
-    gt_vol = nifti.read_volume(gt_path, kind=VolumeKind.LABEL)
-    require_same_grid(pred_vol, gt_vol, "pred/gt volumes")
-    if lesion_label is None:
-        pred = BinaryMask.from_volume_foreground(pred_vol)
-        gt = BinaryMask.from_volume_foreground(gt_vol)
-    else:
-        pred = BinaryMask.from_label_volume(pred_vol, lesion_label)
-        gt = BinaryMask.from_label_volume(gt_vol, lesion_label)
+    pred = nifti.read_volume(pred_path, mask=True, label=lesion_label)
+    gt = nifti.read_volume(gt_path, mask=True, label=lesion_label)
+    require_same_grid(pred, gt, "pred/gt volumes")
     if case_id is None:
         case_id = case_id_of(pred_path)
     return compute_case_metrics(pred, gt, case_id, connectivity)

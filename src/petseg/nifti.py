@@ -26,6 +26,14 @@ returns it, so each run is one contiguous copy or cast, and writing it
 back is one contiguous copy too. A read holds its result plus about one
 run. zlib and numpy release the GIL, so two reads overlap on two
 threads.
+
+``read_volume(path, mask=True)`` reads a label file as a ``BinaryMask``:
+the same pass compares each run straight into the bool result (a scaled file's run
+through one float64 run), so a mask costs one byte per voxel where a LABEL
+volume costs four, and each run takes the value
+checks of a LABEL volume, raised with the same classes, messages and
+order. ``write_volume`` stores a ``BinaryMask`` as uint8 from its bool
+bytes, the bytes of its LABEL volume.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from .errors import (
     ValidationError,
 )
 from .manifest import atomic_write
-from .volume import Volume3D, VolumeKind
+from .volume import LABEL_FAULTS, BinaryMask, Volume3D, VolumeKind, label_fault
 
 HEADER_SIZE = 348
 MIN_VOX_OFFSET = HEADER_SIZE + 4  # single-file data start after the extension flag
@@ -103,6 +111,22 @@ class NiftiHeader:
     @property
     def spacing(self) -> tuple[float, float, float]:
         return (self.pixdim[1], self.pixdim[2], self.pixdim[3])
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the stored voxels, in the file's byte order."""
+        return np.dtype(SUPPORTED_DATATYPES[self.datatype_code]).newbyteorder(self.byteorder)
+
+    @property
+    def scale(self) -> tuple[float, float] | None:
+        """``(scl_slope, scl_inter)`` when raw values ``v`` read as
+        ``v * scl_slope + scl_inter``, else None: a slope of 0 means "no
+        scaling" per the NIfTI-1 convention, a NaN or infinite slope is
+        read the same way (as nibabel does), and an integer file with
+        slope 1 and intercept 0 keeps its integers."""
+        slope, inter = self.scl_slope, self.scl_inter
+        identity = self.dtype.kind in "iu" and slope == 1.0 and inter == 0.0
+        return (slope, inter) if math.isfinite(slope) and slope != 0.0 and not identity else None
 
     @property
     def flipped_axes(self) -> tuple[int, ...]:
@@ -185,12 +209,24 @@ _CHUNK = 1 << 16
 _BLOCK = 1 << 20
 
 
-def read_volume(path, kind: VolumeKind | None = None) -> Volume3D:
-    """Load a ``.nii`` / ``.nii.gz`` file into a :class:`Volume3D`.
+def read_volume(path, kind: VolumeKind | None = None, *, mask: bool = False,
+                label: int | None = None) -> Volume3D | BinaryMask:
+    """Load a ``.nii`` / ``.nii.gz`` file into a :class:`Volume3D`, or, with
+    ``mask``, its LABEL values into a :class:`BinaryMask` of the nonzero
+    voxels (of the voxels equal to ``label`` when given).
 
     See :func:`read_header_and_volume` for how the bytes become a volume.
+    A mask takes the same streamed pass, flips, faults and fault order as
+    a LABEL volume, but each run of z-planes is compared straight into the
+    bool result, so the read holds one byte per voxel plus about one run.
     """
-    return read_header_and_volume(path, kind)[1]
+    if not mask:
+        if label is not None:
+            raise ValueError("label picks the voxels of a mask: pass mask=True")
+        return read_header_and_volume(path, kind)[1]
+    if kind not in (None, VolumeKind.LABEL):
+        raise ValueError(f"a mask is read from LABEL values, not {kind.name}")
+    return _read_file(path, lambda stream: _decode_mask(stream, label, path))
 
 
 def read_header_and_volume(path, kind: VolumeKind | None = None) -> tuple[NiftiHeader, Volume3D]:
@@ -200,23 +236,26 @@ def read_header_and_volume(path, kind: VolumeKind | None = None) -> tuple[NiftiH
     it starts with the gzip magic, and each run of whole z-planes goes
     straight into the result array, which is laid out x-fastest like the
     file (``data.flags.f_contiguous``), so the read holds little beside the
-    result. Raw values are mapped through
-    ``v * scl_slope + scl_inter`` in float64 when ``scl_slope`` is finite
-    and nonzero (slope 0 means "no scaling" per the NIfTI-1 convention; a
-    NaN or infinite slope is read the same way, as nibabel does). Integer
-    files with slope 1 and intercept 0 keep their integer values without a
-    float detour. Axes that the sform flips are flipped back, so the data
-    are RAS+. ``kind`` overrides the default inference of PET_SUV for float
-    datatypes and LABEL for integer datatypes. A corrupt gzip stream is
-    reported before any fault in the bytes it held, and a short file before
-    NaN or infinite voxels.
+    result. Raw values are mapped as :attr:`NiftiHeader.scale` says, in
+    float64. Integer files with slope 1 and intercept 0 keep their integer
+    values without a float detour. Axes that the sform flips are flipped
+    back, so the data are RAS+. ``kind`` overrides the default inference of
+    PET_SUV for float datatypes and LABEL for integer datatypes. A corrupt
+    gzip stream is reported before any fault in the bytes it held, and a
+    short file before NaN or infinite voxels.
     """
+    return _read_file(path, lambda stream: _decode_volume(stream, kind, path))
+
+
+def _read_file(path, decode):
+    """``decode(stream)`` of the file at ``path``, a gzip stream when it
+    starts with the gzip magic, with stream and OS faults as ``IoFailure``."""
     try:
         with open(path, "rb") as raw:
             packed = raw.peek(2)[:2] == b"\x1f\x8b"
             with gzip.GzipFile(fileobj=raw) if packed else raw as stream:
                 try:
-                    return _decode(stream, kind, path)
+                    return decode(stream)
                 except IoFailure:
                     _drain(stream)  # the rest of the stream may hold a decompression fault
                     raise
@@ -243,52 +282,34 @@ def _drain(stream) -> None:
         pass
 
 
-def _convert(data: bytes, dt: np.dtype, dst: np.ndarray, scale: tuple[float, float] | None) -> bool:
-    """Write ``data``, the file bytes of ``dst``'s z-planes (x fastest, as
-    ``dst`` is laid out), into ``dst`` as ``v * slope + inter`` for
-    ``scale = (slope, inter)``, or as they are when ``scale`` is None;
-    whether every value is finite. The views of ``data`` end with this
-    call, so the caller can free it."""
-    planes = np.frombuffer(data, dt).reshape(dst.shape, order="F")
-    if scale is None:
-        np.copyto(dst, planes)
-    else:
-        slope, inter = scale
-        np.multiply(planes, slope, out=dst, dtype=np.float64)
-        np.add(dst, inter, out=dst)
-    return dt.kind != "f" or bool(np.isfinite(planes).all())
-
-
-def _decode(stream, kind: VolumeKind | None, source) -> tuple[NiftiHeader, Volume3D]:
-    """The header and volume of the file bytes in ``stream``, read to its end."""
+def _start(stream, source) -> NiftiHeader:
+    """The header at the start of ``stream``."""
     head = _read(stream, HEADER_SIZE)
     try:
         header = parse_header(head)
     except IoFailure as exc:  # the same fault, naming the file
         exc.args = (f"{source}: {exc}",)
         raise
-    size = len(head)
-    nx, ny, nz = header.shape
-    dt = np.dtype(SUPPORTED_DATATYPES[header.datatype_code]).newbyteorder(header.byteorder)
-    offset = int(round(header.vox_offset))
-    if offset < MIN_VOX_OFFSET:
+    if (offset := int(round(header.vox_offset))) < MIN_VOX_OFFSET:
         raise MalformedHeader(f"{source}: vox_offset {offset} points inside the header or its "
                               "extension flag")
+    return header
 
-    slope, inter = header.scl_slope, header.scl_inter
-    identity = dt.kind in "iu" and slope == 1.0 and inter == 0.0
-    scaled = math.isfinite(slope) and slope != 0.0 and not identity
-    scale = (slope, inter) if scaled else None
-    if kind is None:
-        kind = VolumeKind.PET_SUV if dt.kind == "f" else VolumeKind.LABEL
-    # unscaled integer labels go straight to int32, everything else to float64
-    integer = kind is VolumeKind.LABEL and dt.kind in "iu" and not scaled
+
+def _runs(stream, header: NiftiHeader, source):
+    """``(z, planes)`` for each run of whole z-planes (about ``_BLOCK`` file
+    bytes) of ``stream``, which :func:`_start` read the header of:
+    ``planes`` holds the file values of planes ``z, z + 1, ...`` as an
+    ``(nx, ny, n)`` x-fastest view of bytes that are freed before the next
+    run is read. Then reads ``stream`` to its end."""
+    nx, ny, nz = header.shape
+    dt = header.dtype
     plane = nx * ny * dt.itemsize
     run = max(1, _BLOCK // plane)
+    offset = int(round(header.vox_offset))
+    size = HEADER_SIZE
     while size < offset and (skipped := len(_read(stream, min(offset - size, _CHUNK)))):
         size += skipped
-    out = into = None
-    finite = True
     for z in range(0, nz, run):
         n = min(run, nz - z)
         data = _read(stream, n * plane)
@@ -297,12 +318,50 @@ def _decode(stream, kind: VolumeKind | None, source) -> tuple[NiftiHeader, Volum
             raise TruncatedData(
                 f"{source}: need {offset + nz * plane} bytes for shape {header.shape}, got {size}"
             )
-        if out is None:  # allocated once the file has shown data, not on the header's word
-            out = np.empty((nx, ny, nz), np.int32 if integer else np.float64, order="F")
-            into = np.flip(out, header.flipped_axes)
-        finite = _convert(data, dt, into[:, :, z:z + n], scale) and finite
+        yield z, np.frombuffer(data, dt).reshape((nx, ny, n), order="F")
         del data  # only the result is held while the next run is read
     _drain(stream)
+
+
+def _empty(header: NiftiHeader, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A result array for ``header``'s shape, x-fastest, and the view of it
+    that takes the file's planes in stored order (flipped where the sform
+    flips)."""
+    out = np.empty(header.shape, dtype, order="F")
+    return out, np.flip(out, header.flipped_axes)
+
+
+def _finite(planes: np.ndarray) -> bool:
+    return planes.dtype.kind != "f" or bool(np.isfinite(planes).all())
+
+
+def _scale_into(planes: np.ndarray, dst: np.ndarray, scale: tuple[float, float] | None) -> None:
+    """``dst[...] = planes * slope + inter`` for ``scale = (slope, inter)``
+    (in float64), or ``planes`` as they are when ``scale`` is None."""
+    if scale is None:
+        np.copyto(dst, planes)
+    else:
+        slope, inter = scale
+        np.multiply(planes, slope, out=dst, dtype=np.float64)
+        np.add(dst, inter, out=dst)
+
+
+def _decode_volume(stream, kind: VolumeKind | None, source) -> tuple[NiftiHeader, Volume3D]:
+    """The header and volume of the file bytes in ``stream``, read to its end."""
+    header = _start(stream, source)
+    scale = header.scale
+    if kind is None:
+        kind = VolumeKind.PET_SUV if header.dtype.kind == "f" else VolumeKind.LABEL
+    # unscaled integer labels go straight to int32, everything else to float64
+    integer = kind is VolumeKind.LABEL and header.dtype.kind in "iu" and scale is None
+    out = into = None
+    finite = True
+    for z, planes in _runs(stream, header, source):
+        if out is None:  # allocated once the file has shown data, not on the header's word
+            out, into = _empty(header, np.int32 if integer else np.float64)
+        _scale_into(planes, into[:, :, z:z + planes.shape[2]], scale)
+        finite = _finite(planes) and finite
+        del planes  # so its bytes are freed before the next run is read
     if not finite:
         raise IoFailure(f"{source}: NaN or infinite voxel values")
     try:
@@ -311,15 +370,49 @@ def _decode(stream, kind: VolumeKind | None, source) -> tuple[NiftiHeader, Volum
         raise IoFailure(f"{source}: cannot read as {kind.name}: {exc}") from exc
 
 
+def _decode_mask(stream, label: int | None, source) -> BinaryMask:
+    """The mask of the file bytes in ``stream``, read to its end. Each run's
+    values take the checks of a LABEL :class:`Volume3D`; the gravest fault
+    of any run is raised once the stream has been read, as a LABEL read
+    raises it."""
+    header = _start(stream, source)
+    scale = header.scale
+    out = into = None
+    finite = True
+    faults = set()
+    for z, planes in _runs(stream, header, source):
+        if out is None:  # allocated once the file has shown data, not on the header's word
+            out, into = _empty(header, np.bool_)
+        finite = _finite(planes) and finite
+        values = planes
+        if scale is not None:
+            values = np.empty(planes.shape, np.float64, order="F")
+            _scale_into(planes, values, scale)
+        faults.add(label_fault(values))
+        dst = into[:, :, z:z + planes.shape[2]]
+        if label is None:
+            np.not_equal(values, 0, out=dst)
+        else:
+            np.equal(values, label, out=dst)
+        del planes, values  # so their bytes are freed before the next run is read
+    if not finite:
+        raise IoFailure(f"{source}: NaN or infinite voxel values")
+    faults.discard(None)
+    if faults:
+        raise IoFailure(f"{source}: cannot read as LABEL: {LABEL_FAULTS[min(faults)]}")
+    return BinaryMask(out, header.spacing)
+
+
 def _label_limit(code: int) -> int:
     """The largest label that datatype ``code`` stores exactly."""
     dt = np.dtype(SUPPORTED_DATATYPES[code])
     return int(np.iinfo(dt).max) if dt.kind in "iu" else 2 ** (np.finfo(dt).nmant + 1)
 
 
-def _file_dtype_for(vol: Volume3D, dtype: str | None) -> int:
-    label = vol.kind is VolumeKind.LABEL
-    vmax = int(vol.data.max()) if label and vol.data.size else 0
+def _file_dtype_for(vol: Volume3D | BinaryMask, dtype: str | None) -> int:
+    mask = isinstance(vol, BinaryMask)
+    label = mask or vol.kind is VolumeKind.LABEL
+    vmax = 1 if mask else int(vol.data.max()) if label and vol.data.size else 0
     if dtype is not None:
         by_name = {np.dtype(base).name: code for code, base in SUPPORTED_DATATYPES.items()}
         if dtype not in by_name:
@@ -334,13 +427,14 @@ def _file_dtype_for(vol: Volume3D, dtype: str | None) -> int:
     return code
 
 
-def write_volume(vol: Volume3D, path, byteorder: str = "<", dtype: str | None = None) -> None:
+def write_volume(vol: Volume3D | BinaryMask, path, byteorder: str = "<", dtype: str | None = None) -> None:
     """Write ``vol`` as a single-file NIfTI-1 volume (gzip if path ends .gz).
 
     Float volumes are stored as float32 unless ``dtype`` overrides; LABEL
     volumes as uint8 when the maximum label fits, else int16 (labels above
-    32767 raise ``LabelOverflow``). Output bytes are deterministic: the
-    gzip stream carries no timestamp.
+    32767 raise ``LabelOverflow``); a :class:`BinaryMask` as the uint8
+    labels 0 and 1, straight from its bool bytes. Output bytes are
+    deterministic: the gzip stream carries no timestamp.
     """
     if byteorder not in ("<", ">"):
         raise ValueError(f"byteorder must be '<' or '>', got {byteorder!r}")
@@ -368,7 +462,8 @@ def write_volume(vol: Volume3D, path, byteorder: str = "<", dtype: str | None = 
     for name, value in fields.items():
         at, fmt = _FIELDS[name]
         struct.pack_into(byteorder + fmt, head, at, *(value if isinstance(value, tuple) else (value,)))
-    payload = bytes(head) + vol.data.astype(dt).tobytes(order="F")
+    data = vol.mask.view(np.uint8) if isinstance(vol, BinaryMask) else vol.data
+    payload = bytes(head) + data.astype(dt, copy=False).tobytes(order="F")
     if str(path).endswith(".gz"):
         payload = gzip.compress(payload, compresslevel=6, mtime=0)
     atomic_write(path, payload)

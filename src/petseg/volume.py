@@ -37,6 +37,29 @@ def _check_spacing(spacing) -> tuple[float, float, float]:
     return out
 
 
+# why values cannot be LABEL values, gravest first: the order they are checked in
+LABEL_FAULTS = (
+    "LABEL volume values must be finite and fit in int32",
+    "LABEL volume values must be integers",
+    "LABEL volume values must be nonnegative",
+)
+
+
+def label_fault(data: np.ndarray) -> int | None:
+    """The index in ``LABEL_FAULTS`` of the gravest fault of ``data`` as
+    LABEL values, or None when it has none."""
+    if data.dtype.kind == "f":
+        rounded = np.rint(data)
+        # NaN fails both comparisons, and the float bounds are exact in float32 too
+        if rounded.size and not (rounded.min() >= -2.0**31 and rounded.max() < 2.0**31):
+            return 0
+        if not np.array_equal(rounded, data):
+            return 1
+    if data.dtype.kind in "fi" and data.size and data.min() < 0:
+        return 2
+    return None
+
+
 @dataclass(frozen=True)
 class Volume3D:
     """A 3D scalar grid plus per-axis spacing in millimetres.
@@ -55,20 +78,9 @@ class Volume3D:
         if data.ndim != 3:
             raise ValidationError(f"volume data must be 3D, got ndim={data.ndim}")
         if self.kind is VolumeKind.LABEL:
-            if not np.issubdtype(data.dtype, np.integer):
-                float_data = data
-                rounded = np.rint(float_data)
-                # before the cast, which warns on NaN, inf and out-of-range
-                # values; NaN fails both comparisons, and the float bounds
-                # are exact in float32 too
-                if rounded.size and not (rounded.min() >= -2.0**31 and rounded.max() < 2.0**31):
-                    raise ValidationError("LABEL volume values must be finite and fit in int32")
-                data = rounded.astype(np.int32)
-                del rounded
-                if not np.array_equal(data, float_data):
-                    raise ValidationError("LABEL volume values must be integers")
-            if data.size and data.min() < 0:
-                raise ValidationError("LABEL volume values must be nonnegative")
+            fault = label_fault(data)
+            if fault is not None:
+                raise ValidationError(LABEL_FAULTS[fault])
             if data.dtype != np.int32:
                 data = data.astype(np.int32)
         else:
@@ -116,14 +128,14 @@ class BinaryMask:
         """Mask of voxels equal to ``label``."""
         return cls(vol.data == label, vol.spacing)
 
-    @classmethod
-    def from_volume_foreground(cls, vol: Volume3D) -> "BinaryMask":
-        """Mask of all nonzero voxels."""
-        return cls(vol.data != 0, vol.spacing)
-
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.mask.shape
+
+    @property
+    def data(self) -> np.ndarray:
+        """``mask``, under the name a :class:`Volume3D` gives its values."""
+        return self.mask
 
     @property
     def voxel_volume_mm3(self) -> float:

@@ -256,6 +256,28 @@ class TestFuseEvaluate:
             assert line.split(",")[1] == "1.000000"
         assert lines[-1].startswith("mean,1.000000,2")
 
+    @pytest.mark.parametrize("bad, dtype, fault", [
+        (-1.0, "int16", "nonnegative"), (0.5, "float32", "integers"), (np.nan, "float32", None)])
+    def test_invalid_label_files_exit_2(self, tmp_path, capsys, bad, dtype, fault):
+        for d in ("pred", "gt"):
+            (tmp_path / d).mkdir()
+            nifti.write_volume(Volume3D(np.ones((4, 4, 4)), (1.0, 1.0, 1.0), VolumeKind.LABEL),
+                               tmp_path / d / "a.nii.gz")
+        data = np.ones((4, 4, 4))
+        data[1, 2, 3] = bad
+        bad_file = tmp_path / "gt" / "a.nii.gz"
+        nifti.write_volume(Volume3D(data, (1.0, 1.0, 1.0)), bad_file, dtype=dtype)
+        reason = f"cannot read as LABEL: LABEL volume values must be {fault}" if fault else "NaN or infinite"
+        want = f"petseg: i/o error: {bad_file}: {reason}"
+        for label in ([], ["--lesion-label", "1"]):
+            rc = cli.main(["evaluate", "--pred-dir", str(tmp_path / "pred"), "--gt-dir", str(tmp_path / "gt"),
+                           "--out", str(tmp_path / "m.csv"), *label])
+            assert rc == 2 and capsys.readouterr().err.startswith(want)
+        (tmp_path / "organs.json").write_text(json.dumps(
+            {"case_id": "a", "lesion_path": "pred/a.nii.gz", "organs": {"liver": "gt/a.nii.gz"}}))
+        assert cli.main(["fuse", "--manifest", str(tmp_path / "organs.json"), "--out", str(tmp_path / "f.nii.gz")]) == 2
+        assert capsys.readouterr().err.startswith(want)
+
 
 def write_mask_dirs(tmp_path, names=("a.nii.gz", "b.nii.gz", "c.nii.gz")):
     pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"

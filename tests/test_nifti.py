@@ -21,7 +21,7 @@ from petseg.errors import (
     TruncatedData,
     UnsupportedDatatype,
 )
-from petseg.volume import Volume3D, VolumeKind
+from petseg.volume import BinaryMask, Volume3D, VolumeKind
 
 from oracles import nifti_voxels
 
@@ -289,6 +289,17 @@ class TestWriteVolume:
         nifti.write_volume(vol, path, byteorder=">")
         back = nifti.read_volume(path)
         assert np.array_equal(back.data, data)
+
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("byteorder", "<>")
+    @pytest.mark.parametrize("dtype", [None, "int16", "float32"])
+    def test_mask_writes_the_bytes_of_its_label_volume(self, tmp_path, rng, suffix, layout, byteorder, dtype):
+        for fraction in (0.0, 0.3, 1.0):
+            mask = BinaryMask(np.asarray(rng.random((5, 6, 7)) < fraction, order=layout), (1.0, 2.0, 3.0))
+            nifti.write_volume(mask, tmp_path / f"mask{suffix}", byteorder, dtype)
+            nifti.write_volume(mask.to_label_volume(), tmp_path / f"label{suffix}", byteorder, dtype)
+            assert (tmp_path / f"mask{suffix}").read_bytes() == (tmp_path / f"label{suffix}").read_bytes()
 
 
     @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
@@ -558,6 +569,9 @@ class TestIntegerIdentityScaling:
         assert peak <= 2.0 * int32_volume, peak / int32_volume
 
 
+SUPPORTED = {2: "u1", 4: "i2", 16: "f4", 64: "f8"}
+
+
 def nifti_payload(values, datatype, order="<", slope=1.0, inter=0.0, flipped_axes=(), magic=b"n+1\x00"):
     """Uncompressed bytes of a NIfTI file holding ``values`` x fastest; a
     negative sform diagonal marks each axis in ``flipped_axes``."""
@@ -742,6 +756,145 @@ class TestStreamedDecode:
         # next is read (two runs held took 1.19); a whole-file gunzip,
         # float64 temporaries and a transpose took 2.5
         assert peak <= 1.12 * data.nbytes, peak / data.nbytes
+
+
+def _outcome(read):
+    """What ``read()`` gives: its result, or the class and message of the
+    ``IoFailure`` it raised."""
+    try:
+        return read()
+    except IoFailure as exc:
+        return type(exc), str(exc)
+
+
+class TestReadMask:
+    """``read_volume(path, mask=True)`` gives the mask, or the fault, of a
+    LABEL read followed by the mask conversion, run by run."""
+
+    @staticmethod
+    def expected(path, label):
+        def read():
+            vol = nifti.read_volume(path, kind=VolumeKind.LABEL)
+            return BinaryMask(vol.data != 0, vol.spacing) if label is None else BinaryMask.from_label_volume(vol, label)
+        return _outcome(read)
+
+    @classmethod
+    def assert_same(cls, path, label=None):
+        want, got = cls.expected(path, label), _outcome(lambda: nifti.read_volume(path, mask=True, label=label))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.spacing == want.spacing and got.mask.dtype == np.bool_
+            assert np.array_equal(got.mask, want.mask)
+        return got
+
+    @pytest.fixture
+    def runs_of(self, monkeypatch):
+        def runs(plane_bytes, run_planes):
+            monkeypatch.setattr(nifti, "_CHUNK", 13)
+            monkeypatch.setattr(nifti, "_BLOCK", plane_bytes * run_planes)
+        return runs
+
+    @pytest.mark.parametrize("datatype", [2, 4, 16, 64])
+    @pytest.mark.parametrize("order", "<>")
+    @pytest.mark.parametrize("codec", ["raw", "gzip"])
+    def test_same_mask_as_the_label_read(self, tmp_path, runs_of, datatype, order, codec):
+        rng = np.random.default_rng(datatype)
+        runs_of(5 * 4 * np.dtype(SUPPORTED[datatype]).itemsize, 3)
+        values = rng.integers(0, 4, size=(5, 4, 7))
+        path = tmp_path / f"m.nii{'.gz' if codec == 'gzip' else ''}"
+        for axes in [(), (1,), (0, 2)]:
+            for slope, inter in [(1.0, 0.0), (0.0, 7.0), (2.0, 1.0), (0.5, 0.0)]:
+                payload = nifti_payload(values, datatype, order, slope, inter, axes)
+                path.write_bytes(gzip.compress(payload) if codec == "gzip" else payload)
+                for label in (None, 1, 3):
+                    got = self.assert_same(path, label)
+                    if label == 3 and slope in (1.0, 0.0):
+                        flipped = np.flip(values, axes) if axes else values
+                        assert np.array_equal(got.mask, flipped == 3)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")  # scaled_inf, on both reads
+    @pytest.mark.parametrize("codec", ["raw", "gzip"])
+    @pytest.mark.parametrize("fault", ["negative", "fractional", "nan", "inf", "huge", "scaled_inf",
+                                       "fractional_then_huge", "negative_then_fractional"])
+    def test_same_fault_as_the_label_read(self, tmp_path, runs_of, codec, fault):
+        datatype = {"negative": 4, "scaled_inf": 64}.get(fault, 16)
+        slope = 3e38 if fault == "scaled_inf" else 1.0
+        runs_of(5 * 4 * np.dtype(SUPPORTED[datatype]).itemsize, 2)
+        values = np.ones((5, 4, 6))
+        first, last = {
+            "negative": (None, -1), "fractional": (None, 0.5), "nan": (None, np.nan), "inf": (None, np.inf),
+            "huge": (None, 2.0**31), "scaled_inf": (None, 1e300), "fractional_then_huge": (0.5, 2.0**31),
+            "negative_then_fractional": (-1, 0.5),
+        }[fault]
+        if first is not None:
+            values[1, 2, 0] = first  # in the first run
+        values[3, 1, 5] = last  # in the last run
+        payload = nifti_payload(values, datatype, slope=slope)
+        path = tmp_path / f"bad.nii{'.gz' if codec == 'gzip' else ''}"
+        path.write_bytes(gzip.compress(payload) if codec == "gzip" else payload)
+        for label in (None, 1):
+            assert isinstance(self.assert_same(path, label), tuple)
+
+    @pytest.mark.parametrize("codec", ["raw", "gzip"])
+    def test_a_short_file_is_reported_before_nan(self, tmp_path, runs_of, codec):
+        runs_of(5 * 4 * 4, 2)
+        values = np.ones((5, 4, 6))
+        values[0, 0, 0] = np.nan
+        payload = nifti_payload(values, 16)
+        path = tmp_path / f"cut.nii{'.gz' if codec == 'gzip' else ''}"
+        cut = payload[:352 + 5 * 4 * 4 * 3 + 7]
+        path.write_bytes(gzip.compress(cut) if codec == "gzip" else cut)
+        assert self.assert_same(path)[0] is TruncatedData
+
+    @pytest.mark.parametrize("fault", ["deflate_byte", "crc", "cut_stream"])
+    def test_a_corrupt_stream_is_reported_before_a_bad_value(self, tmp_path, runs_of, fault):
+        runs_of(16 * 16 * 4, 2)
+        values = np.random.default_rng(2).integers(0, 2, (16, 16, 12)).astype(np.float64)
+        values[3, 3, 0] = -0.5  # fractional and negative, in the first run
+        packed = bytearray(gzip.compress(nifti_payload(values, 16)))
+        if fault == "deflate_byte":
+            packed[len(packed) // 2] ^= 0xFF
+        elif fault == "cut_stream":
+            del packed[len(packed) * 2 // 3:]
+        else:
+            packed[-8] ^= 0x01
+        path = tmp_path / "bad.nii.gz"
+        path.write_bytes(bytes(packed))
+        assert self.assert_same(path)[0] is DecompressFailure
+
+    def test_header_faults_name_the_file(self, tmp_path):
+        path = tmp_path / "v.nii"
+        path.write_bytes(nifti_payload(np.ones((2, 2, 2)), 16, magic=b"ni1\x00"))
+        assert self.assert_same(path)[0] is BadMagic
+
+    def test_a_mask_is_read_from_label_values(self, tmp_path):
+        path = tmp_path / "v.nii"
+        path.write_bytes(nifti_payload(np.arange(8).reshape(2, 2, 2), 2))
+        assert nifti.read_volume(path, VolumeKind.LABEL, mask=True, label=3).voxel_count == 1
+        with pytest.raises(ValueError, match="not PET_SUV"):
+            nifti.read_volume(path, VolumeKind.PET_SUV, mask=True)
+        with pytest.raises(ValueError, match="pass mask=True"):
+            nifti.read_volume(path, label=3)
+
+    def test_read_holds_one_byte_per_voxel(self, tmp_path):
+        import tracemalloc
+
+        shape = (128, 128, 96)
+        mask = BinaryMask(np.random.default_rng(7).random(shape) < 0.1, (2.0, 2.0, 3.0))
+        path = tmp_path / "mask.nii.gz"
+        nifti.write_volume(mask, path)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = nifti.read_volume(path, mask=True)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.mask, mask.mask)
+        # the bool result plus one run of file bytes (1 MB); an int32
+        # volume alone is 4 bytes per voxel
+        assert peak <= mask.mask.nbytes + 1.5 * nifti._BLOCK, peak / mask.mask.size
 
 
 class TestByteMutation:
