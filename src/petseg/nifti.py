@@ -323,14 +323,6 @@ def _runs(stream, header: NiftiHeader, source):
     _drain(stream)
 
 
-def _empty(header: NiftiHeader, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """A result array for ``header``'s shape, x-fastest, and the view of it
-    that takes the file's planes in stored order (flipped where the sform
-    flips)."""
-    out = np.empty(header.shape, dtype, order="F")
-    return out, np.flip(out, header.flipped_axes)
-
-
 def _finite(planes: np.ndarray) -> bool:
     return planes.dtype.kind != "f" or bool(np.isfinite(planes).all())
 
@@ -358,7 +350,8 @@ def _decode_volume(stream, kind: VolumeKind | None, source) -> tuple[NiftiHeader
     finite = True
     for z, planes in _runs(stream, header, source):
         if out is None:  # allocated once the file has shown data, not on the header's word
-            out, into = _empty(header, np.int32 if integer else np.float64)
+            out = np.empty(header.shape, np.int32 if integer else np.float64, order="F")
+            into = np.flip(out, header.flipped_axes)  # takes the planes in stored order
         _scale_into(planes, into[:, :, z:z + planes.shape[2]], scale)
         finite = _finite(planes) and finite
         del planes  # so its bytes are freed before the next run is read
@@ -382,7 +375,8 @@ def _decode_mask(stream, label: int | None, source) -> BinaryMask:
     faults = set()
     for z, planes in _runs(stream, header, source):
         if out is None:  # allocated once the file has shown data, not on the header's word
-            out, into = _empty(header, np.bool_)
+            out = np.empty(header.shape, np.bool_, order="F")
+            into = np.flip(out, header.flipped_axes)
         finite = _finite(planes) and finite
         values = planes
         if scale is not None:
