@@ -9,11 +9,15 @@ A module fixture runs, in one temporary directory:
   ``--lesion-label 1``;
 - ``fuse`` of an organ manifest whose organs are the two masks and one
   more lesion file, with the first case's lesion as its lesion;
-- ``cv-disc --k 2 --max-epochs 1 --out``.
+- ``cv-disc --k 2 --max-epochs 1 --out``;
+- ``resample`` of the first case's PET (trilinear) and of its lesion
+  (nearest, an int32 LABEL read);
+- ``window`` and ``mip`` of the first case;
+- ``inspect`` of the first case's PET, whose stdout is digested.
 
 Each file it writes is digested. Manifests are digested without their
 ``timings`` and ``host`` sections and with the temporary directory cut from
-their paths, the training history without its ``epoch_s`` column. Every
+their paths, as is the stdout of ``inspect``, the training history without its ``epoch_s`` column. Every
 volume and MIP file is float32, which hides most one-ULP changes to the
 float64 arithmetic behind it, so the float64 classifier input that ``run``
 computes for each of its two cases is digested as well.
@@ -26,6 +30,7 @@ that alters output bytes on purpose records the new digests with
     PYTHONPATH=src python tests/test_digests.py --write
 """
 
+import contextlib
 import csv
 import ctypes
 import hashlib
@@ -103,9 +108,19 @@ def make_outputs(root: Path) -> dict[str, str]:
         sort_keys=True))
     _petseg("fuse", "--manifest", root / "organs.json", "--out", root / "fused.nii.gz")
     _petseg("cv-disc", "--manifest", manifest, "--k", 2, "--max-epochs", 1, "--out", root / "cv.csv")
+    case = corpus / RUN_CASES[0]
+    _petseg("resample", "--in", f"{case}_pet.nii.gz", "--out", root / "resampled_pet.nii.gz")
+    _petseg("resample", "--in", f"{case}_lesion.nii.gz", "--out", root / "resampled_lesion.nii.gz",
+            "--mode", "nearest")
+    _petseg("window", "--ct", f"{case}_ct.nii.gz", "--pet", f"{case}_pet.nii.gz", "--out-dir", root / "window")
+    _petseg("mip", "--pet", f"{case}_pet.nii.gz", "--out", root / "mip.nii.gz")
+    with contextlib.redirect_stdout(io.StringIO()) as shown:
+        _petseg("inspect", f"{case}_pet.nii.gz")
 
     digests = {p.relative_to(root).as_posix(): hashlib.sha256(_canonical(p, root)).hexdigest()
                for p in sorted(root.rglob("*")) if p.is_file()}
+    inspected = shown.getvalue().replace(f"{root}{os.sep}", "").encode()
+    digests["inspect stdout"] = hashlib.sha256(inspected).hexdigest()
     for case in RUN_CASES:
         pet = nifti.read_volume(corpus / f"{case}_pet.nii.gz", kind=VolumeKind.PET_SUV)
         pixels = discriminator_mip(pet).pixels
