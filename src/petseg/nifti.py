@@ -17,23 +17,21 @@ infinite voxels in a float file raise ``IoFailure``.
 
 A read is one streamed pass over the file, through ``gzip.GzipFile``
 when the file starts with the gzip magic (so multi-member files, zero
-padding and each member's CRC and length are the standard library's):
-each run of whole z-planes (about ``_BLOCK`` file bytes) is taken with
-plain ``read()`` calls and scaled straight into the result, with no
-decompressed copy of the file and no float64 temporaries. The result is
-laid out x-fastest (Fortran order), as the file is and as nibabel
-returns it, so each run is one contiguous copy or cast, and writing it
-back is one contiguous copy too. A read holds its result plus about one
-run. zlib and numpy release the GIL, so two reads overlap on two
-threads.
-
-``read_volume(path, mask=True)`` reads a label file as a ``BinaryMask``:
-the same pass compares each run straight into the bool result (a scaled file's run
-through one float64 run), so a mask costs one byte per voxel where a LABEL
-volume costs four, and each run takes the value
-checks of a LABEL volume, raised with the same classes, messages and
-order. ``write_volume`` stores a ``BinaryMask`` as uint8 from its bool
-bytes, the bytes of its LABEL volume.
+padding and each member's CRC and length are the standard library's).
+One loop, ``_fill``, takes runs of whole z-planes (about ``_BLOCK`` file
+bytes) with plain ``read()`` calls into a result laid out x-fastest
+(Fortran order), as the file is and as nibabel returns it, and hands
+each run to one of two puts. A volume read scales the run straight into
+its slice of the result, with no decompressed copy of the file and no
+float64 temporaries. ``read_volume(path, mask=True)`` reads a label file
+as a ``BinaryMask``: its put takes each run through the value checks of
+a LABEL volume, raised with the same classes, messages and order, and
+compares it into the bool result (a scaled file's run through one
+float64 run), so a mask costs one byte per voxel where a LABEL volume
+costs four. A read holds its result plus about one run. zlib and numpy
+release the GIL, so two reads overlap on two threads. ``write_volume``
+stores a ``BinaryMask`` as uint8 from its bool bytes, the bytes of its
+LABEL volume.
 """
 
 from __future__ import annotations
@@ -296,12 +294,18 @@ def _start(stream, source) -> NiftiHeader:
     return header
 
 
-def _runs(stream, header: NiftiHeader, source):
-    """``(z, planes)`` for each run of whole z-planes (about ``_BLOCK`` file
-    bytes) of ``stream``, which :func:`_start` read the header of:
-    ``planes`` holds the file values of planes ``z, z + 1, ...`` as an
-    ``(nx, ny, n)`` x-fastest view of bytes that are freed before the next
-    run is read. Then reads ``stream`` to its end."""
+def _fill(stream, header: NiftiHeader, source, dtype, put) -> np.ndarray:
+    """The x-fastest ``header.shape`` array of ``dtype`` that ``put`` fills
+    from ``stream`` (past the header :func:`_start` read), read to its end.
+
+    The one read loop: it skips to the data, takes runs of whole z-planes
+    (raising ``TruncatedData`` for a short one) and allocates the result
+    once the first run has arrived, not on the header's word. Each run's
+    file values, an ``(nx, ny, n)`` x-fastest view of bytes freed before
+    the next run is read, go to ``put(planes, dst)``, ``dst`` being their
+    slice of the result seen through the sform flips. NaN or infinite file
+    values raise ``IoFailure`` once the stream is drained.
+    """
     nx, ny, nz = header.shape
     dt = header.dtype
     plane = nx * ny * dt.itemsize
@@ -310,6 +314,8 @@ def _runs(stream, header: NiftiHeader, source):
     size = HEADER_SIZE
     while size < offset and (skipped := len(_read(stream, min(offset - size, _CHUNK)))):
         size += skipped
+    out = into = None
+    finite = True
     for z in range(0, nz, run):
         n = min(run, nz - z)
         data = _read(stream, n * plane)
@@ -318,13 +324,17 @@ def _runs(stream, header: NiftiHeader, source):
             raise TruncatedData(
                 f"{source}: need {offset + nz * plane} bytes for shape {header.shape}, got {size}"
             )
-        yield z, np.frombuffer(data, dt).reshape((nx, ny, n), order="F")
-        del data  # only the result is held while the next run is read
+        if out is None:
+            out = np.empty(header.shape, dtype, order="F")
+            into = np.flip(out, header.flipped_axes)  # takes the planes in stored order
+        planes = np.frombuffer(data, dt).reshape((nx, ny, n), order="F")
+        put(planes, into[:, :, z:z + n])
+        finite = finite and (dt.kind != "f" or bool(np.isfinite(planes).all()))
+        del data, planes  # only the result is held while the next run is read
     _drain(stream)
-
-
-def _finite(planes: np.ndarray) -> bool:
-    return planes.dtype.kind != "f" or bool(np.isfinite(planes).all())
+    if not finite:
+        raise IoFailure(f"{source}: NaN or infinite voxel values")
+    return out
 
 
 def _scale_into(planes: np.ndarray, dst: np.ndarray, scale: tuple[float, float] | None) -> None:
@@ -339,24 +349,16 @@ def _scale_into(planes: np.ndarray, dst: np.ndarray, scale: tuple[float, float] 
 
 
 def _decode_volume(stream, kind: VolumeKind | None, source) -> tuple[NiftiHeader, Volume3D]:
-    """The header and volume of the file bytes in ``stream``, read to its end."""
+    """The header and volume of the file bytes in ``stream``: each run is
+    scaled straight into the result."""
     header = _start(stream, source)
     scale = header.scale
     if kind is None:
         kind = VolumeKind.PET_SUV if header.dtype.kind == "f" else VolumeKind.LABEL
     # unscaled integer labels go straight to int32, everything else to float64
     integer = kind is VolumeKind.LABEL and header.dtype.kind in "iu" and scale is None
-    out = into = None
-    finite = True
-    for z, planes in _runs(stream, header, source):
-        if out is None:  # allocated once the file has shown data, not on the header's word
-            out = np.empty(header.shape, np.int32 if integer else np.float64, order="F")
-            into = np.flip(out, header.flipped_axes)  # takes the planes in stored order
-        _scale_into(planes, into[:, :, z:z + planes.shape[2]], scale)
-        finite = _finite(planes) and finite
-        del planes  # so its bytes are freed before the next run is read
-    if not finite:
-        raise IoFailure(f"{source}: NaN or infinite voxel values")
+    out = _fill(stream, header, source, np.int32 if integer else np.float64,
+                lambda planes, dst: _scale_into(planes, dst, scale))
     try:
         return header, Volume3D(out, header.spacing, kind)
     except ValidationError as exc:  # e.g. negative or fractional values in a LABEL file
@@ -364,35 +366,27 @@ def _decode_volume(stream, kind: VolumeKind | None, source) -> tuple[NiftiHeader
 
 
 def _decode_mask(stream, label: int | None, source) -> BinaryMask:
-    """The mask of the file bytes in ``stream``, read to its end. Each run's
-    values take the checks of a LABEL :class:`Volume3D`; the gravest fault
-    of any run is raised once the stream has been read, as a LABEL read
-    raises it."""
+    """The mask of the file bytes in ``stream``: each run takes the checks
+    of a LABEL :class:`Volume3D` (a scaled file's run in one float64 run
+    buffer) and is compared into the bool result. The gravest fault of any
+    run is raised after the read, as a LABEL read raises it."""
     header = _start(stream, source)
     scale = header.scale
-    out = into = None
-    finite = True
-    faults = set()
-    for z, planes in _runs(stream, header, source):
-        if out is None:  # allocated once the file has shown data, not on the header's word
-            out = np.empty(header.shape, np.bool_, order="F")
-            into = np.flip(out, header.flipped_axes)
-        finite = _finite(planes) and finite
-        values = planes
+    faults = {None}
+
+    def put(planes, dst):
         if scale is not None:
             values = np.empty(planes.shape, np.float64, order="F")
             _scale_into(planes, values, scale)
-        faults.add(label_fault(values))
-        dst = into[:, :, z:z + planes.shape[2]]
+            planes = values
+        faults.add(label_fault(planes))
         if label is None:
-            np.not_equal(values, 0, out=dst)
+            np.not_equal(planes, 0, out=dst)
         else:
-            np.equal(values, label, out=dst)
-        del planes, values  # so their bytes are freed before the next run is read
-    if not finite:
-        raise IoFailure(f"{source}: NaN or infinite voxel values")
-    faults.discard(None)
-    if faults:
+            np.equal(planes, label, out=dst)
+
+    out = _fill(stream, header, source, np.bool_, put)
+    if faults := faults - {None}:
         raise IoFailure(f"{source}: cannot read as LABEL: {LABEL_FAULTS[min(faults)]}")
     return BinaryMask(out, header.spacing)
 

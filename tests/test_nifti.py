@@ -713,7 +713,8 @@ class TestStreamedDecode:
         with pytest.raises(TruncatedData, match=f"v.nii.gz: need 348 header bytes, got {len(content)}"):
             nifti.read_volume(path)
 
-    def test_header_shape_does_not_size_the_read(self, tmp_path):
+    @pytest.mark.parametrize("mask", [False, True], ids=["volume", "mask"])
+    def test_header_shape_does_not_size_the_read(self, tmp_path, mask):
         import tracemalloc
 
         # one 32767 x 32767 float64 plane would be 8.6 GB; the file holds
@@ -725,7 +726,7 @@ class TestStreamedDecode:
         tracemalloc.start()
         try:
             with pytest.raises(TruncatedData, match=f"huge.nii.gz: need .* got {len(packed)}"):
-                nifti.read_volume(path)
+                nifti.read_volume(path, mask=mask)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
