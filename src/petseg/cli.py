@@ -320,12 +320,13 @@ def cmd_predict_tracer(args) -> int:
 def cmd_fuse(args) -> int:
     case_id, lesion_path, organ_paths = load_organ_manifest(args.manifest)
     lesion = nifti.read_volume(lesion_path, mask=True)
-    masks = [(name, nifti.read_volume(path, mask=True)) for name, path in sorted(organ_paths.items())]
+    # read as the merge takes them, so one organ mask is held at a time
+    masks = ((name, nifti.read_volume(path, mask=True)) for name, path in sorted(organ_paths.items()))
     fused = merge_organ_masks(masks, lesion, ignore_unknown=args.ignore_unknown)
     nifti.write_volume(fused, args.out)
     _write_manifest(args, args.out, {"case_id": case_id},
                     inputs=[args.manifest, lesion_path, *organ_paths.values()])
-    print(f"fused {len(masks)} organ masks + lesion for case {case_id} -> {args.out}")
+    print(f"fused {len(organ_paths)} organ masks + lesion for case {case_id} -> {args.out}")
     return EXIT_OK
 
 

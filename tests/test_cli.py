@@ -235,6 +235,48 @@ class TestFuseEvaluate:
         assert fused.data[4, 4, 4] == 13
         assert fused.data[3, 3, 3] == 4
 
+    def test_fuse_holds_one_organ_mask_at_a_time(self, tmp_path, capsys, monkeypatch):
+        import weakref
+
+        shape, spacing = (8, 8, 8), (2.0, 2.0, 2.0)
+        names = ("brain", "heart", "liver", "pancreas", "spleen")  # groups 1, 2, 4, 12, 7
+        for i, name in enumerate(("lesion",) + names):
+            data = np.zeros(shape, dtype=np.int32)
+            data[i, :, :] = 1
+            nifti.write_volume(Volume3D(data, spacing, VolumeKind.LABEL), tmp_path / f"{name}.nii.gz")
+        (tmp_path / "organs.json").write_text(json.dumps({
+            "case_id": "c1", "lesion_path": "lesion.nii.gz",
+            "organs": {name: f"{name}.nii.gz" for name in reversed(names)}}))
+        read, masks, resident = nifti.read_volume, [], []
+
+        def tracked_read(path, *args, **kwargs):
+            resident.append(sum(ref() is not None for ref in masks))
+            mask = read(path, *args, **kwargs)
+            masks.append(weakref.ref(mask.mask))
+            return mask
+
+        monkeypatch.setattr(nifti, "read_volume", tracked_read)
+        assert cli.main(["fuse", "--manifest", str(tmp_path / "organs.json"),
+                         "--out", str(tmp_path / "fused.nii.gz")]) == 0
+        assert "fused 5 organ masks" in capsys.readouterr().out
+        # the lesion is read first and held; each organ mask is gone before the next is read
+        assert resident == [0, 1, 1, 1, 1, 1]
+        fused = read(tmp_path / "fused.nii.gz")
+        assert list(fused.data[:, 0, 0]) == [13, 1, 2, 4, 12, 7, 0, 0]
+
+    def test_fuse_reads_and_checks_organs_in_name_order(self, tmp_path, capsys):
+        for name in ("lesion", "liver"):
+            nifti.write_volume(Volume3D(np.ones((4, 4, 4)), (2.0, 2.0, 2.0), VolumeKind.LABEL),
+                               tmp_path / f"{name}.nii.gz")
+        (tmp_path / "corrupt.nii.gz").write_bytes(b"\x1f\x8b not gzip")
+        for organs, code in [({"aorta": "corrupt.nii.gz", "xenomorph": "liver.nii.gz"}, 2),
+                             ({"liver": "corrupt.nii.gz", "kidney": "liver.nii.gz"}, 3)]:
+            (tmp_path / "organs.json").write_text(json.dumps(
+                {"case_id": "c1", "lesion_path": "lesion.nii.gz", "organs": organs}))
+            assert cli.main(["fuse", "--manifest", str(tmp_path / "organs.json"),
+                             "--out", str(tmp_path / "f.nii.gz")]) == code, organs
+            assert ("corrupt.nii.gz" in capsys.readouterr().err) == (code == 2)
+
     def test_evaluate_identical_dirs(self, tmp_path, capsys):
         pred_dir = tmp_path / "pred"
         gt_dir = tmp_path / "gt"

@@ -82,6 +82,38 @@ class TestMerge:
         assert fused.data.max() <= 13
 
 
+class TestMergeMemory:
+    def test_masks_are_taken_one_at_a_time(self):
+        import tracemalloc
+
+        shape = (64, 64, 80)
+        names = ("liver", "brain", "pancreas", "heart", "spleen", "aorta")  # groups 4, 1, 12, 2, 7, 3
+        lesion = mask_from_coords([(0, 0, 0)], shape=shape)
+
+        def masks():  # overlapping slabs of z, each made only when the merge asks for it
+            for i, name in enumerate(names):
+                m = np.zeros(shape, dtype=bool, order="F")
+                m[:, :, 10 * i:10 * i + 15] = True
+                yield name, BinaryMask(m, (1.0, 1.0, 1.0))
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fused = merge_organ_masks(masks(), lesion)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        ids = [DEFAULT_GROUPS.group_for_mask(name).group_id for name in names]
+        assert [fused.data[1, 1, 10 * i + 7] for i in range(len(names))] == ids
+        assert [fused.data[1, 1, 10 * i + 12] for i in range(len(names) - 1)] == [
+            max(a, b) for a, b in zip(ids, ids[1:])]  # the higher id wins an overlap
+        assert fused.data[0, 0, 0] == 13
+        # the int32 map (4 bytes per voxel) and at most two masks, as this
+        # generator holds its last mask while it makes the next; a copy of
+        # each group's mask took 11
+        assert peak <= 8 * fused.data.size, peak / fused.data.size
+
+
 class TestSplit:
     def test_round_trip_lesion_only(self):
         lesion = mask_from_coords([(1, 2, 3), (4, 4, 4)])
