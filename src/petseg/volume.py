@@ -55,6 +55,9 @@ def label_fault(data: np.ndarray) -> int | None:
             return 0
         if not np.array_equal(rounded, data):
             return 1
+    # int32 and narrower need no pass; a wider integer dtype would wrap in the cast
+    elif data.dtype.kind in "iu" and np.iinfo(data.dtype).max >= 2**31 and data.size and data.max() >= 2**31:
+        return 0
     if data.dtype.kind in "fi" and data.size and data.min() < 0:
         return 2
     return None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from petseg.errors import ValidationError
-from petseg.volume import Volume3D, VolumeKind
+from petseg.volume import LABEL_FAULTS, Volume3D, VolumeKind
 
 
 class TestLabelValidation:
@@ -52,3 +52,18 @@ class TestLabelValidation:
         data[0, 0, 0] = bad
         with pytest.raises(ValidationError, match=match):
             Volume3D(data, (1.0, 1.0, 1.0), VolumeKind.LABEL)
+
+    @pytest.mark.parametrize("value, dtype", [(2**32 + 5, np.int64), (2**31, np.uint32), (2**63, np.uint64)])
+    def test_wide_integers_beyond_int32_fail_instead_of_wrapping(self, value, dtype):
+        # the int32 cast would make these 5, -2147483648 and 0
+        data = np.zeros((2, 2, 2), dtype=dtype)
+        data[1, 0, 1] = value
+        with pytest.raises(ValidationError) as err:
+            Volume3D(data, (1.0, 1.0, 1.0), VolumeKind.LABEL)
+        assert str(err.value) == LABEL_FAULTS[0]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.uint64])
+    def test_wide_integers_within_int32_read_as_they_are(self, dtype):
+        data = np.zeros((2, 2, 2), dtype=dtype)
+        data[1, 0, 1] = 2**31 - 1
+        assert Volume3D(data, (1.0, 1.0, 1.0), VolumeKind.LABEL).data.max() == 2**31 - 1
