@@ -189,7 +189,7 @@ class ExternalPredictor(Predictor):
     # each call starts a model process; two at once is unmeasured
     concurrent_calls = False
 
-    def __init__(self, command, name: str | None = None, case_id: str = "case", workdir=None,
+    def __init__(self, command, name: str | None = None, case_id: str = "case",
                  timeout: float | None = None, fold: int = 0):
         self.command = tuple(str(c).replace("{fold}", str(fold)) for c in command)
         if not self.command:
@@ -197,11 +197,10 @@ class ExternalPredictor(Predictor):
         self.name = name or Path(self.command[0]).name
         self.case_id = case_id
         self.fold = fold
-        self.workdir = workdir
         self.timeout = timeout
 
     def predict(self, stack: ChannelStack) -> Volume3D:
-        with tempfile.TemporaryDirectory(dir=self.workdir, prefix="petseg_req_") as tmp:
+        with tempfile.TemporaryDirectory(prefix="petseg_req_") as tmp:
             tmp = Path(tmp)
             channel_paths = []
             for i, ch in enumerate(stack.channels):

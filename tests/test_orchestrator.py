@@ -600,7 +600,7 @@ class TestExternalPredictor:
         script.write_text(BACKEND_SCRIPT.format(src="."))
         stack = make_stack(rng, shape=(5, 4, 3))
         pred = ExternalPredictor([sys.executable, str(script)], name="toy_backend",
-                                 case_id="case_7", workdir=str(tmp_path))
+                                 case_id="case_7")
         out = pred.predict(stack)
         expected = stack.pet_clipped.data / 20.0
         assert np.allclose(out.data, expected, atol=1e-7)
@@ -616,8 +616,7 @@ class TestExternalPredictor:
             shutil.copy(request["channel_paths"][3], request["output_path"])
         """))
         stack = make_stack(rng, shape=(3, 3, 3))
-        pred = ExternalPredictor([sys.executable, str(script)], case_id="case_9",
-                                 workdir=str(tmp_path))
+        pred = ExternalPredictor([sys.executable, str(script)], case_id="case_9")
         try:
             pred.predict(stack)
         except PredictorFailure:
@@ -671,8 +670,7 @@ class TestExternalPredictor:
     def test_nonzero_exit_raises(self, tmp_path, rng):
         script = tmp_path / "backend.py"
         script.write_text("import sys; sys.stderr.write('boom'); sys.exit(3)")
-        pred = ExternalPredictor([sys.executable, str(script)], name="broken",
-                                 workdir=str(tmp_path))
+        pred = ExternalPredictor([sys.executable, str(script)], name="broken")
         with pytest.raises(PredictorFailure) as err:
             pred.predict(make_stack(rng, shape=(3, 3, 3)))
         assert "broken" in str(err.value)
@@ -681,7 +679,7 @@ class TestExternalPredictor:
     def test_missing_output_raises(self, tmp_path, rng):
         script = tmp_path / "backend.py"
         script.write_text("import sys")
-        pred = ExternalPredictor([sys.executable, str(script)], workdir=str(tmp_path))
+        pred = ExternalPredictor([sys.executable, str(script)])
         with pytest.raises(PredictorFailure):
             pred.predict(make_stack(rng, shape=(3, 3, 3)))
 
@@ -689,7 +687,7 @@ class TestExternalPredictor:
         pid_file = tmp_path / "child.pid"
         script = tmp_path / "backend.sh"
         script.write_text(f"sleep 60 &\necho $! > {pid_file}\nwait\n")
-        pred = ExternalPredictor(["sh", str(script)], name="slow", workdir=str(tmp_path), timeout=1.0)
+        pred = ExternalPredictor(["sh", str(script)], name="slow", timeout=1.0)
         child = None
         try:
             with pytest.raises(PredictorFailure):
@@ -711,8 +709,8 @@ class TestExternalPredictor:
             f"import os, time\nfd = os.open({busy!r}, os.O_CREAT | os.O_EXCL)\ntime.sleep(0.2)\n"
             + BACKEND_SCRIPT.format(src=".")
             + f"os.close(fd)\nos.remove({busy!r})\n")
-        folds = tuple(ExternalPredictor([sys.executable, str(script)], name=f"toy_f{i}",
-                                        workdir=str(tmp_path)) for i in range(2))
+        folds = tuple(ExternalPredictor([sys.executable, str(script)], name=f"toy_f{i}")
+                      for i in range(2))
         cfg = EnsembleConfig(folds=folds, tta_flips=("identity", "x"), reduced_flips=("identity",))
         stack = make_stack(rng, shape=(5, 4, 3))
         calls = []
