@@ -372,7 +372,7 @@ def _decode_mask(stream, label: int | None, source) -> BinaryMask:
     run is raised after the read, as a LABEL read raises it."""
     header = _start(stream, source)
     scale = header.scale
-    faults = {None}
+    faults = set()
 
     def put(planes, dst):
         if scale is not None:
@@ -386,7 +386,8 @@ def _decode_mask(stream, label: int | None, source) -> BinaryMask:
             np.equal(planes, label, out=dst)
 
     out = _fill(stream, header, source, np.bool_, put)
-    if faults := faults - {None}:
+    faults.discard(None)
+    if faults:
         raise IoFailure(f"{source}: cannot read as LABEL: {LABEL_FAULTS[min(faults)]}")
     return BinaryMask(out, header.spacing)
 

@@ -109,8 +109,7 @@ class TestMergeMemory:
             max(a, b) for a, b in zip(ids, ids[1:])]  # the higher id wins an overlap
         assert fused.data[0, 0, 0] == 13
         # the int32 map (4 bytes per voxel) and at most two masks, as this
-        # generator holds its last mask while it makes the next; a copy of
-        # each group's mask took 11
+        # generator holds its last mask while it makes the next
         assert peak <= 8 * fused.data.size, peak / fused.data.size
 
 
