@@ -52,9 +52,10 @@ def connected_components(mask: BinaryMask, connectivity: int = 26):
     Works on the foreground voxel list in x-fastest scan order. Each run
     of consecutive x starts as one label. For every prior neighbour
     offset, the runs a voxel's neighbour falls in are looked up in the
-    output volume; the larger root of each edge hooks to the smaller one
-    (``np.minimum.at``) and pointer jumping resolves the chains, until no
-    edge of the offset joins two labels (Shiloach-Vishkin hooking). A
+    output volume, giving one edge per pair of touching runs. Over the
+    edges of all offsets at once, the larger root of each edge hooks to
+    the smaller one (``np.minimum.at``) and pointer jumping resolves the
+    chains, until no edge joins two labels (Shiloach-Vishkin hooking). A
     root is therefore the smallest index in its component, so numbering
     roots in increasing order is first-encounter numbering.
     """
@@ -77,7 +78,7 @@ def connected_components(mask: BinaryMask, connectivity: int = 26):
     lookup = grid.reshape(-1)
     lookup[flat] = run  # 1-based run of each voxel, 0 for background
     run -= 1
-    root = np.arange(run[-1] + 1, dtype=np.int32)
+    edges = []
     for dx, dy, dz in offsets:
         if (dx, dy, dz) == (-1, 0, 0):
             continue  # joined within runs
@@ -89,26 +90,22 @@ def connected_components(mask: BinaryMask, connectivity: int = 26):
         # a run meets a neighbouring run in consecutive voxels: keep one edge
         first = np.ones(ra.size, dtype=bool)
         first[1:] = (ra[1:] != ra[:-1]) | (rb[1:] != rb[:-1])
-        ra, rb = root[ra[first]], root[rb[first]]
-        while True:
-            join = ra != rb
-            if not join.any():
-                break
-            ra, rb = ra[join], rb[join]
-            hi = np.maximum(ra, rb)
-            np.minimum.at(root, hi, np.minimum(ra, rb))
-            while True:  # pointer jumping over the hooked roots
-                up = root[hi]
-                top = root[up]
-                if np.array_equal(top, up):
-                    break
-                root[hi] = top
-            ra, rb = root[ra], root[rb]
-        while True:  # every run points at its root again
+        edges.append((ra[first], rb[first]))
+    ra, rb = (np.concatenate(ends) for ends in zip(*edges))  # every connectivity has y and z offsets
+    del edges
+    root = np.arange(run[-1] + 1, dtype=np.int32)
+    while True:
+        join = ra != rb
+        if not join.any():
+            break
+        ra, rb = ra[join], rb[join]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:  # pointer jumping: every run points at its root again
             top = root[root]
             if np.array_equal(top, root):
                 break
             root = top
+        ra, rb = root[ra], root[rb]
     number = np.cumsum(root == np.arange(root.size), dtype=np.int32)
     lookup[flat] = number[root[run]]
     return Volume3D(grid.T, mask.spacing, VolumeKind.LABEL), int(number[-1])
