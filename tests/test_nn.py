@@ -254,12 +254,14 @@ class TestNetworkAndGradCheck:
         with pytest.raises(ShapeError):
             infer_shapes((FlattenSpec(), LinearSpec(10, 4)), (3, 2, 2))
 
-    def test_linear_only_grad_check(self, rng):
-        specs = (FlattenSpec(), LinearSpec(12, 6), ReLUSpec(), LinearSpec(6, 1), SigmoidSpec())
+    # a sigmoid that is not last takes the sigmoid branch of the backward pass
+    @pytest.mark.parametrize("middle, bound", [(ReLUSpec(), 1e-7), (SigmoidSpec(), 1e-5)], ids=["relu", "sigmoid"])
+    def test_linear_only_grad_check(self, rng, middle, bound):
+        specs = (FlattenSpec(), LinearSpec(12, 6), middle, LinearSpec(6, 1), SigmoidSpec())
         net = Network(specs, rng, input_shape=(3, 2, 2))
         x = rng.standard_normal((4, 3, 2, 2))
         y = rng.integers(0, 2, size=(4, 1)).astype(float)
-        assert grad_check(net, x, y) < 1e-7
+        assert grad_check(net, x, y) < bound
 
     def test_tiny_conv_stack_grad_check(self, rng):
         net = Network(TINY_SPECS, rng, input_shape=TINY_INPUT)
