@@ -9,7 +9,7 @@ the path named in the request and exits 0).
 
 TTA applies axis flips to every channel, runs the predictor, undoes the
 flip on the output and averages. Flipped channels and un-flipped outputs
-are ``np.flip`` views, never copies, and predictors see them read-only.
+are ``np.flip`` views, never copies, and read-only like all volume data.
 The (fold, flip) calls are queued fold-major in canonical flip order on
 ``_IN_FLIGHT`` worker threads (numpy releases the GIL in its array
 loops), so ``predict`` may run on two threads at once and must not
@@ -120,24 +120,13 @@ def _memory_order(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     return np.flip(a, axes), axes
 
 
-def _read_only(stack: ChannelStack) -> ChannelStack:
-    """Read-only views of the channels: predictors share the caller's
-    buffers across every fold and flip, so none may write into them."""
-    channels = []
-    for ch in stack.channels:
-        view = ch.data.view()
-        view.flags.writeable = False
-        channels.append(ch.with_data(view))
-    return ChannelStack(tuple(channels))
-
-
 class Predictor:
     """Base segmentation backend; subclasses implement ``predict``.
 
-    ``predict`` gets read-only views and, while ``concurrent_calls`` is
-    true, may run on two threads at once (two flips of one fold, or the
-    last flip of one fold and the first of the next), so it must not
-    mutate state shared between calls. Each call's output is added on
+    ``predict`` gets read-only views of the channels every call shares
+    and, while ``concurrent_calls`` is true, may run on two threads at
+    once (two flips of one fold, or the last flip of one fold and the
+    first of the next), so it must not mutate state shared between calls. Each call's output is added on
     its worker thread once the call before it is added, while the next
     call runs. An output in its input's memory layout, negative strides
     on the same axes, is un-flipped into a forward array, so the add reads
@@ -286,7 +275,7 @@ def make_suv_ensemble(n_folds: int = N_FOLDS, cap: float = SUV_CAP, **kwargs) ->
 
 def _run_predictor(predictor: Predictor, stack: ChannelStack, flip: str, fold: int):
     """One checked call on the flipped stack: the un-flipped output, its
-    Invocation and its span ``f{fold}.{flip}``. ``stack`` must be read-only."""
+    Invocation and its span ``f{fold}.{flip}``."""
     flipped = flip_stack(stack, flip)
     try:
         with span(f"f{fold}.{flip}") as call:
@@ -305,9 +294,9 @@ def _run_predictor(predictor: Predictor, stack: ChannelStack, flip: str, fold: i
     return flip_volume(out, flip), Invocation(predictor.name, fold, flip), call  # flips are involutions
 
 
-def _ensemble_mean(folds: dict, stack: ChannelStack, flips, on_invoke, first=()) -> np.ndarray:
-    """Mean over ``folds`` ({fold index: predictor}) of each fold's mean
-    over the canonical ``flips``.
+def _ensemble_mean(folds: tuple, stack: ChannelStack, flips, on_invoke, first=()) -> np.ndarray:
+    """Mean over the fold predictors ``folds`` (fold index = position) of
+    each fold's mean over the canonical ``flips``.
 
     The (fold, flip) tasks are queued fold-major on ``_IN_FLIGHT``
     threads, or one if any fold predictor has ``concurrent_calls`` false,
@@ -323,12 +312,12 @@ def _ensemble_mean(folds: dict, stack: ChannelStack, flips, on_invoke, first=())
     its own, so the last future raises the first failure in task order;
     once a task has raised, or the caller is interrupted, queued tasks
     skip their calls, and the call returns or raises only once every
-    thread it started has ended. ``stack`` must already be read-only. ``first`` may
-    hold the first task's result (the first fold's identity), made
-    earlier; it is moved out of that list so it is freed once added.
+    thread it started has ended. ``first`` may hold the first task's
+    result (the first fold's identity), made earlier; it is moved out of
+    that list so it is freed once added.
     """
-    tasks = [(fold, flip) for fold in folds for flip in flips]
-    serial = any(not getattr(p, "concurrent_calls", True) for p in folds.values())
+    tasks = [(fold, flip) for fold in range(len(folds)) for flip in flips]
+    serial = any(not getattr(p, "concurrent_calls", True) for p in folds)
     stop = threading.Event()
     total = acc = None
 
@@ -387,7 +376,7 @@ def _ensemble_mean(folds: dict, stack: ChannelStack, flips, on_invoke, first=())
 
 def tta_predict(predictor: Predictor, stack: ChannelStack, flips, on_invoke=None) -> Volume3D:
     """Mean prediction over axis flips (flip, predict, unflip, average)."""
-    mean = _ensemble_mean({0: predictor}, _read_only(stack), _canonical_flips(flips), on_invoke)
+    mean = _ensemble_mean((predictor,), stack, _canonical_flips(flips), on_invoke)
     return Volume3D(mean, stack.spacing, VolumeKind.PROBABILITY)
 
 
@@ -401,7 +390,6 @@ def ensemble_predict(cfg: EnsembleConfig, stack: ChannelStack, on_invoke=None) -
     if not cfg.folds:
         raise ValidationError("ensemble needs at least one fold predictor")
     flips = select_flips(cfg, stack.voxel_count)
-    stack = _read_only(stack)
 
     first = []
     if cfg.soft_deadline and len(flips) > len(cfg.reduced_flips):
@@ -410,7 +398,7 @@ def ensemble_predict(cfg: EnsembleConfig, stack: ChannelStack, on_invoke=None) -
         if projected > cfg.time_budget_s:
             flips = cfg.reduced_flips
 
-    total = _ensemble_mean(dict(enumerate(cfg.folds)), stack, flips, on_invoke, first)
+    total = _ensemble_mean(cfg.folds, stack, flips, on_invoke, first)
     return Volume3D(total, stack.spacing, VolumeKind.PROBABILITY)
 
 

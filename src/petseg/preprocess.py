@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidWindow, ValidationError
-from .volume import Volume3D, VolumeKind, _check_spacing, require_same_grid
+from .volume import Volume3D, VolumeKind, _check_spacing, _read_only, require_same_grid
 
 PET_WINDOW = (0.0, 20.0)     # SUV
 CT_WINDOW = (-300.0, 400.0)  # HU
@@ -76,7 +76,7 @@ class ChannelStack:
 
 @dataclass(frozen=True)
 class MipImage:
-    """A fixed-size 2D projection image with its source pixel spacing."""
+    """A fixed-size 2D projection image (read-only) with its source pixel spacing."""
 
     pixels: np.ndarray
     source_spacing: tuple[float, float]
@@ -85,7 +85,7 @@ class MipImage:
         pixels = np.asarray(self.pixels, dtype=np.float64)
         if pixels.ndim != 2:
             raise ValidationError(f"MIP image must be 2D, got ndim={pixels.ndim}")
-        object.__setattr__(self, "pixels", np.ascontiguousarray(pixels))
+        object.__setattr__(self, "pixels", _read_only(np.ascontiguousarray(pixels)))
         object.__setattr__(self, "source_spacing", tuple(float(s) for s in self.source_spacing))
 
     @property
@@ -133,9 +133,10 @@ def resample_trilinear(vol: Volume3D, target) -> Volume3D:
     """Resample a scalar volume to ``target`` spacing with trilinear weights.
 
     Not valid for LABEL volumes (use :func:`resample_nearest`). Resampling
-    at the identical spacing returns a copy of the input. The output range
-    is clipped to the input range, which the exact arithmetic already
-    guarantees up to float rounding; the range is taken slab by slab.
+    at the identical spacing returns a volume on the input's read-only
+    data. The output range is clipped to the input range, which the exact
+    arithmetic already guarantees up to float rounding; the range is taken
+    slab by slab.
 
     Work proceeds in slabs along the axis that is outermost in memory, x
     for a C-ordered input and z for an x-fastest one, and the output keeps
@@ -150,7 +151,7 @@ def resample_trilinear(vol: Volume3D, target) -> Volume3D:
         raise ValidationError("trilinear resampling is not defined for LABEL volumes")
     target = _check_spacing(target)
     if target == vol.spacing:
-        return Volume3D(vol.data.copy(), vol.spacing, vol.kind)
+        return Volume3D(vol.data, vol.spacing, vol.kind)
 
     out_shape = _output_shape(vol.shape, vol.spacing, target)
     weights = list(map(_axis_weights, vol.shape, out_shape, vol.spacing, target))
@@ -192,7 +193,7 @@ def resample_nearest(vol: Volume3D, target) -> Volume3D:
         raise ValidationError("nearest resampling is reserved for LABEL volumes")
     target = _check_spacing(target)
     if target == vol.spacing:
-        return Volume3D(vol.data.copy(), vol.spacing, vol.kind)
+        return Volume3D(vol.data, vol.spacing, vol.kind)
 
     out_shape = _output_shape(vol.shape, vol.spacing, target)
     data = vol.data

@@ -6,7 +6,9 @@ anterior-posterior, z = inferior-superior, indexed ``data[x, y, z]``.
 In memory, as on disk, volumes read from NIfTI are laid out x-fastest
 (Fortran order), and the array operations downstream keep that layout,
 so no stage copies a volume just to transpose it. Any layout gives the
-same values. Values are treated as immutable after construction.
+same values. The values of a ``Volume3D``, a ``BinaryMask`` and a
+``MipImage`` are read-only views, made at construction: a write through
+one raises ``ValueError``, and the array passed in keeps its own flags.
 """
 
 from __future__ import annotations
@@ -45,6 +47,13 @@ LABEL_FAULTS = (
 )
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``; ``a`` itself stays as it is."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 def label_fault(data: np.ndarray) -> int | None:
     """The index in ``LABEL_FAULTS`` of the gravest fault of ``data`` as
     LABEL values, or None when it has none."""
@@ -67,9 +76,9 @@ def label_fault(data: np.ndarray) -> int | None:
 class Volume3D:
     """A 3D scalar grid plus per-axis spacing in millimetres.
 
-    ``data`` is float64 (int32 for LABEL) but not necessarily contiguous
-    or writeable: it may be a strided, read-only view such as the
-    ``np.flip`` views the TTA ensemble hands to predictors.
+    ``data`` is a read-only float64 (int32 for LABEL) view, not
+    necessarily contiguous: it may be strided, such as the ``np.flip``
+    views the TTA ensemble hands to predictors.
     """
 
     data: np.ndarray
@@ -89,7 +98,7 @@ class Volume3D:
         else:
             if data.dtype != np.float64:
                 data = data.astype(np.float64)
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _read_only(data))
         object.__setattr__(self, "spacing", _check_spacing(self.spacing))
 
     @property
@@ -110,7 +119,7 @@ def require_same_grid(a: Volume3D | "BinaryMask", b: Volume3D | "BinaryMask", wh
 
 @dataclass(frozen=True)
 class BinaryMask:
-    """Foreground voxel set on a spaced grid."""
+    """Foreground voxel set on a spaced grid; ``mask`` is a read-only bool view."""
 
     mask: np.ndarray
     spacing: tuple[float, float, float]
@@ -123,7 +132,7 @@ class BinaryMask:
             mask = mask.astype(bool)
         if not (mask.flags.c_contiguous or mask.flags.f_contiguous):
             mask = np.ascontiguousarray(mask)
-        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "mask", _read_only(mask))
         object.__setattr__(self, "spacing", _check_spacing(self.spacing))
 
     @classmethod

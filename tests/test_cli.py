@@ -20,6 +20,7 @@ from petseg.discriminator import (
 from petseg.errors import IoFailure
 from petseg.manifest import manifest_path_for, write_run_manifest
 from petseg.metrics import CaseMetrics, write_metrics_csv
+from petseg.orchestrator import EnsembleConfig, SuvThresholdPredictor
 from petseg.synthdata import Hotspot, PhantomSpec, TracerStyle, make_mip_dataset, make_phantom
 from petseg.volume import Volume3D, VolumeKind
 
@@ -502,6 +503,23 @@ class TestErrorsAndHelp:
             "--config", str(cfg),
         ])
         assert rc == 4
+
+    def test_predictor_writing_into_its_input_exits_4(self, tmp_path, monkeypatch, capsys):
+        class Writer(SuvThresholdPredictor):
+            def predict(self, stack):
+                stack.channels[1].data[...] = 0.0  # the PET the run read
+                return super().predict(stack)
+
+        monkeypatch.setattr(cli, "make_suv_ensemble",
+                            lambda n_folds, cap, **policy: EnsembleConfig(folds=(Writer(),) * n_folds, **policy))
+        write_phantom_files(tmp_path)
+        rc = cli.main([
+            "run", "--ct", str(tmp_path / "ct.nii.gz"), "--pet", str(tmp_path / "pet.nii.gz"),
+            "--disc-model", str(zero_model(tmp_path)), "--out", str(tmp_path / "mask.nii.gz"),
+            "--folds", "1", "--tta", "identity,z", "--reduced-tta", "identity",
+        ])
+        assert rc == 4
+        assert "read-only" in capsys.readouterr().err
 
     @pytest.mark.parametrize("corruption", ["short_blob", "no_tensors", "unknown_field",
                                             "stride_not_int", "does_not_compose", "nan_bias",

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from petseg.errors import ValidationError
-from petseg.volume import LABEL_FAULTS, Volume3D, VolumeKind
+from petseg.orchestrator import flip_volume
+from petseg.preprocess import MipImage
+from petseg.volume import LABEL_FAULTS, BinaryMask, Volume3D, VolumeKind
 
 
 class TestLabelValidation:
@@ -67,3 +69,41 @@ class TestLabelValidation:
         data = np.zeros((2, 2, 2), dtype=dtype)
         data[1, 0, 1] = 2**31 - 1
         assert Volume3D(data, (1.0, 1.0, 1.0), VolumeKind.LABEL).data.max() == 2**31 - 1
+
+
+def built():
+    """The array passed in, and the values built on it, for each type and view."""
+    data = np.arange(1, 25, dtype=np.float64).reshape(2, 3, 4)
+    mask = data > 10
+    pixels = np.ones((5, 6))
+    vol = Volume3D(data, (1.0, 1.0, 1.0))
+    return {
+        "Volume3D.data": (data, vol.data),
+        "with_data": (data, vol.with_data(data).data),
+        "flip_volume": (data, flip_volume(vol, "xz").data),
+        "BinaryMask.mask": (mask, BinaryMask(mask, (1.0, 1.0, 1.0)).mask),
+        "BinaryMask.data": (mask, BinaryMask(mask, (1.0, 1.0, 1.0)).data),
+        "MipImage.pixels": (pixels, MipImage(pixels, (1.0, 1.0)).pixels),
+    }
+
+
+class TestReadOnly:
+    @pytest.mark.parametrize("name", built())
+    def test_writing_through_a_value_raises(self, name):
+        _, values = built()[name]
+        with pytest.raises(ValueError, match="read-only"):
+            values[...] = 0
+
+    @pytest.mark.parametrize("name", built())
+    def test_the_array_passed_in_stays_writable_and_shared(self, name):
+        source, values = built()[name]
+        assert source.flags.writeable
+        assert np.shares_memory(source, values)
+        source[...] = 0
+        assert not values.any()
+
+    def test_a_converted_array_is_read_only_too(self):
+        for values in (Volume3D(np.zeros((2, 2, 2), dtype=np.float32), (1.0, 1.0, 1.0)).data,
+                       Volume3D(np.zeros((2, 2, 2)), (1.0, 1.0, 1.0), VolumeKind.LABEL).data,
+                       BinaryMask(np.zeros((2, 2, 2), dtype=np.uint8), (1.0, 1.0, 1.0)).mask):
+            assert not values.flags.writeable
