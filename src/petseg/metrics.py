@@ -91,7 +91,7 @@ def connected_components(mask: BinaryMask, connectivity: int = 26):
         first = np.ones(ra.size, dtype=bool)
         first[1:] = (ra[1:] != ra[:-1]) | (rb[1:] != rb[:-1])
         edges.append((ra[first], rb[first]))
-    ra, rb = (np.concatenate(ends) for ends in zip(*edges))  # every connectivity has y and z offsets
+    ra, rb = (np.concatenate(ends) for ends in zip(*edges))  # never empty: every connectivity has y and z offsets
     del edges
     root = np.arange(run[-1] + 1, dtype=np.int32)
     while True:

@@ -123,10 +123,10 @@ def _memory_order(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
 class Predictor:
     """Base segmentation backend; subclasses implement ``predict``.
 
-    ``predict`` gets read-only views of the channels every call shares
-    and, while ``concurrent_calls`` is true, may run on two threads at
-    once (two flips of one fold, or the last flip of one fold and the
-    first of the next), so it must not mutate state shared between calls. Each call's output is added on
+    ``predict`` gets shared read-only views and, while ``concurrent_calls`` is
+    true, may run on two threads at once (two flips of one fold, or the
+    last flip of one fold and the first of the next), so it must not
+    mutate state shared between calls. Each call's output is added on
     its worker thread once the call before it is added, while the next
     call runs. An output in its input's memory layout, negative strides
     on the same axes, is un-flipped into a forward array, so the add reads
