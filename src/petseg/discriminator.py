@@ -411,8 +411,8 @@ def load_mip_dataset(manifest_path) -> list[LabeledMip]:
     ``case_id`` appears twice (a copy on each side of a split would leak)."""
     manifest_path = Path(manifest_path)
     try:
-        entries = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        entries = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise IoFailure(f"cannot read manifest {manifest_path}: {exc}") from exc
     if not isinstance(entries, list):
         raise IoFailure(f"manifest {manifest_path} must hold a JSON list of entries")

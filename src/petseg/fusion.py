@@ -104,8 +104,8 @@ def load_organ_manifest(manifest_path):
     resolved relative to the manifest file."""
     manifest_path = Path(manifest_path)
     try:
-        doc = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise IoFailure(f"cannot read organ manifest {manifest_path}: {exc}") from exc
     organs = doc.get("organs", {}) if isinstance(doc, dict) else None
     if not (isinstance(doc, dict) and "case_id" in doc and isinstance(doc.get("lesion_path"), str)

@@ -4,14 +4,13 @@ False-positive volume sums the sizes of predicted connected components
 with zero ground-truth overlap; false-negative volume is the symmetric
 quantity on ground-truth components. Components use 26-connectivity by
 default and are numbered 1..K in first-encounter order of the x-fastest
-scan; the labeller works array-wide on the foreground voxel list (label
-hooking plus pointer jumping, no per-voxel Python loop). Volumes are
-reported both as raw voxel counts and millilitres.
+scan; the labeller works array-wide on the foreground voxel list (a run
+lookup bordered with background, label hooking and pointer jumping).
+Volumes are reported both as raw voxel counts and millilitres.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,22 +24,14 @@ from .volume import BinaryMask, Volume3D, VolumeKind, require_same_grid
 CONNECTIVITIES = (6, 18, 26)
 
 
-def _prior_offsets(connectivity: int) -> list[tuple[int, int, int]]:
-    """Neighbor offsets that precede a voxel in x-fastest scan order."""
+def _prior_row_offsets(connectivity: int) -> list[tuple[int, int, int]]:
+    """Neighbour offsets (dx, dy, dz) into the rows that precede a voxel's
+    row in x-fastest scan order; the in-row neighbour shares its run."""
     if connectivity not in CONNECTIVITIES:
         raise ValidationError(f"connectivity must be one of {CONNECTIVITIES}, got {connectivity}")
-    max_nonzero = {6: 1, 18: 2, 26: 3}[connectivity]
-    out = []
-    for dz in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                if (dz, dy, dx) == (0, 0, 0):
-                    continue
-                if abs(dx) + abs(dy) + abs(dz) > max_nonzero:
-                    continue
-                if dz < 0 or (dz == 0 and dy < 0) or (dz == 0 and dy == 0 and dx < 0):
-                    out.append((dx, dy, dz))
-    return out
+    steps = {6: 1, 18: 2, 26: 3}[connectivity]
+    return [(dx, dy, dz) for dz in (-1, 0) for dy in (-1, 0, 1) for dx in (-1, 0, 1)
+            if (dz, dy) < (0, 0) and abs(dx) + abs(dy) + abs(dz) <= steps]
 
 
 def connected_components(mask: BinaryMask, connectivity: int = 26):
@@ -50,47 +41,42 @@ def connected_components(mask: BinaryMask, connectivity: int = 26):
     components numbered 1..count in first-encounter scan order.
 
     Works on the foreground voxel list in x-fastest scan order. Each run
-    of consecutive x starts as one label. For every prior neighbour
-    offset, the runs a voxel's neighbour falls in are looked up in the
-    output volume, giving one edge per pair of touching runs. Over the
-    edges of all offsets at once, the larger root of each edge hooks to
-    the smaller one (``np.minimum.at``) and pointer jumping resolves the
-    chains, until no edge joins two labels (Shiloach-Vishkin hooking). A
-    root is therefore the smallest index in its component, so numbering
-    roots in increasing order is first-encounter numbering.
+    of consecutive x starts as one label, written into a lookup bordered
+    with background (a column after each row, a row after each plane,
+    and a leading plane, row and voxel), so for every prior-row offset
+    one gather, with no edge test, gives one edge per pair of touching
+    runs. Over the edges of all offsets at once, the larger root of each
+    edge hooks to the smaller one (``np.minimum.at``) and pointer jumping
+    resolves the chains, until no edge joins two labels (Shiloach-Vishkin
+    hooking). A root is therefore the smallest index in its component,
+    so numbering roots in increasing order is first-encounter numbering.
     """
-    offsets = _prior_offsets(connectivity)
+    offsets = _prior_row_offsets(connectivity)
     nx, ny, nz = mask.shape
-    grid = np.zeros((nz, ny, nx), dtype=np.int32)  # flat index = x-fastest scan index
-    flat = np.flatnonzero(mask.mask.transpose(2, 1, 0))
+    flat = np.flatnonzero(mask.mask.transpose(2, 1, 0))  # x-fastest scan index
     if flat.size == 0:
-        return Volume3D(grid.T, mask.spacing, VolumeKind.LABEL), 0
-    x = flat % nx
-    xy = flat % (nx * ny)
-    near = [{-1: x > 0, 1: x < nx - 1}, {-1: xy >= nx, 1: xy < nx * (ny - 1)}, {-1: flat >= nx * ny}]
-    del x, xy
-    # each run of consecutive x within a row starts as one label
+        return Volume3D(np.zeros((nz, ny, nx), dtype=np.int32).T, mask.spacing, VolumeKind.LABEL), 0
+    px, py = nx + 1, ny + 1  # bordered row and plane lengths
+    at = flat + flat // nx + px * (flat // (nx * ny)) + (px * py + px + 1)  # (x+1) + px*(y+1) + px*py*(z+1)
+    # each run of consecutive x starts as one label; the border column ends every row
     start = np.ones(flat.size, dtype=bool)
-    start[1:] = np.diff(flat) != 1
-    start |= ~near[0][-1]  # x == 0 begins a row
+    start[1:] = np.diff(at) != 1
     run = np.cumsum(start, dtype=np.int32)
     del start
-    lookup = grid.reshape(-1)
-    lookup[flat] = run  # 1-based run of each voxel, 0 for background
+    lookup = np.zeros(at[-1] + 1, dtype=np.int32)  # every offset points to an earlier row
+    lookup[at] = run  # 1-based run of each voxel, 0 for background
     run -= 1
     edges = []
     for dx, dy, dz in offsets:
-        if (dx, dy, dz) == (-1, 0, 0):
-            continue  # joined within runs
-        inside = functools.reduce(np.logical_and, [near[axis][d] for axis, d in enumerate((dx, dy, dz)) if d])
-        b = lookup[flat[inside] + (dx + nx * (dy + ny * dz))]
+        b = lookup[at + (dx + px * (dy + py * dz))]
         hit = b > 0
-        ra, rb = run[inside][hit], b[hit] - 1
-        del inside, b, hit
+        ra, rb = run[hit], b[hit] - 1
+        del b, hit
         # a run meets a neighbouring run in consecutive voxels: keep one edge
         first = np.ones(ra.size, dtype=bool)
         first[1:] = (ra[1:] != ra[:-1]) | (rb[1:] != rb[:-1])
         edges.append((ra[first], rb[first]))
+    del at, lookup  # freed before the label grid is made
     ra, rb = (np.concatenate(ends) for ends in zip(*edges))  # never empty: every connectivity has y and z offsets
     del edges
     root = np.arange(run[-1] + 1, dtype=np.int32)
@@ -107,7 +93,8 @@ def connected_components(mask: BinaryMask, connectivity: int = 26):
             root = top
         ra, rb = root[ra], root[rb]
     number = np.cumsum(root == np.arange(root.size), dtype=np.int32)
-    lookup[flat] = number[root[run]]
+    grid = np.zeros((nz, ny, nx), dtype=np.int32)
+    grid.reshape(-1)[flat] = number[root[run]]
     return Volume3D(grid.T, mask.spacing, VolumeKind.LABEL), int(number[-1])
 
 

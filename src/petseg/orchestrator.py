@@ -34,6 +34,7 @@ and the add into the fold sum both run forward.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import json
 import math
@@ -209,14 +210,15 @@ class ExternalPredictor(Predictor):
 
             try:
                 proc = subprocess.Popen([*self.command, str(request_path)], stdout=subprocess.PIPE,
-                                        stderr=subprocess.PIPE, text=True, start_new_session=True)
+                                        stderr=subprocess.PIPE, errors="replace", start_new_session=True)
             except OSError as exc:
                 raise PredictorFailure(self.name, str(exc)) from exc
             with proc:
                 try:
                     _, stderr = proc.communicate(timeout=self.timeout)
                 except BaseException as exc:  # a timeout or an interrupt ends the whole group
-                    os.killpg(proc.pid, signal.SIGKILL)
+                    with contextlib.suppress(ProcessLookupError):  # the group may be gone already
+                        os.killpg(proc.pid, signal.SIGKILL)
                     if isinstance(exc, subprocess.TimeoutExpired):
                         raise PredictorFailure(self.name, str(exc)) from exc
                     raise

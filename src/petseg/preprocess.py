@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidWindow, ValidationError
-from .volume import Volume3D, VolumeKind, _check_spacing, _read_only, require_same_grid
+from .volume import Volume3D, VolumeKind, _check_spacing, _read_only, _rebuilt, require_same_grid
 
 PET_WINDOW = (0.0, 20.0)     # SUV
 CT_WINDOW = (-300.0, 400.0)  # HU
@@ -80,6 +80,7 @@ class MipImage:
 
     pixels: np.ndarray
     source_spacing: tuple[float, float]
+    __reduce__ = _rebuilt
 
     def __post_init__(self):
         pixels = np.asarray(self.pixels, dtype=np.float64)

@@ -7,8 +7,9 @@ In memory, as on disk, volumes read from NIfTI are laid out x-fastest
 (Fortran order), and the array operations downstream keep that layout,
 so no stage copies a volume just to transpose it. Any layout gives the
 same values. The values of a ``Volume3D``, a ``BinaryMask`` and a
-``MipImage`` are read-only views, made at construction: a write through
-one raises ``ValueError``, and the array passed in keeps its own flags.
+``MipImage`` are read-only views, made at construction and by pickle
+and copy: a write through one raises ``ValueError``, and the array
+passed in keeps its own flags.
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
+def _rebuilt(self):
+    """``__reduce__`` of the value types: pickle and copy go through ``__post_init__``."""
+    return type(self), tuple(vars(self).values())
+
+
 def label_fault(data: np.ndarray) -> int | None:
     """The index in ``LABEL_FAULTS`` of the gravest fault of ``data`` as
     LABEL values, or None when it has none."""
@@ -84,6 +90,7 @@ class Volume3D:
     data: np.ndarray
     spacing: tuple[float, float, float]
     kind: VolumeKind = VolumeKind.PET_SUV
+    __reduce__ = _rebuilt
 
     def __post_init__(self):
         data = np.asarray(self.data)
@@ -123,6 +130,7 @@ class BinaryMask:
 
     mask: np.ndarray
     spacing: tuple[float, float, float]
+    __reduce__ = _rebuilt
 
     def __post_init__(self):
         mask = np.asarray(self.mask)

@@ -861,3 +861,17 @@ class TestMalformedInputManifests:
         err = capsys.readouterr().err
         assert str(manifest) in err and "Traceback" not in err, err
         assert not (tmp_path / "f.nii.gz").exists()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["train-disc", "--manifest", "{bad}", "--out-model", "{out}"], 2),
+        (["fuse", "--manifest", "{bad}", "--out", "{out}"], 2),
+        (["train-disc", "--manifest", "{tmp}/none.json", "--out-model", "{out}", "--config", "{bad}"], 3),
+    ], ids=["mip_manifest", "organ_manifest", "config"])
+    def test_non_utf8_json_exits_naming_the_file(self, tmp_path, capsys, argv, code):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"case_id": "café"}'.encode("latin-1"))
+        out = tmp_path / "out.json"
+        assert cli.main([a.format(bad=bad, out=out, tmp=tmp_path) for a in argv]) == code
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err, err
+        assert not out.exists()

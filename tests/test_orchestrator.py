@@ -675,6 +675,20 @@ class TestExternalPredictor:
         assert "broken" in str(err.value)
         assert "exit 3" in str(err.value)
 
+    def test_non_utf8_stderr_does_not_fail_a_run(self, tmp_path, rng):
+        script = tmp_path / "backend.py"
+        script.write_text(BACKEND_SCRIPT.format(src=".") + "sys.stderr.buffer.write(b'progress \\xe9\\xff done')\n")
+        stack = make_stack(rng, shape=(5, 4, 3))
+        out = ExternalPredictor([sys.executable, str(script)], name="noisy").predict(stack)
+        assert np.allclose(out.data, stack.pet_clipped.data / 20.0, atol=1e-7)
+
+    def test_non_utf8_stderr_keeps_the_exit_code(self, tmp_path, rng):
+        script = tmp_path / "backend.py"
+        script.write_text("import sys; sys.stderr.buffer.write(b'bad \\xe9\\xff'); sys.exit(1)")
+        pred = ExternalPredictor([sys.executable, str(script)], name="noisy")
+        with pytest.raises(PredictorFailure, match="exit 1"):
+            pred.predict(make_stack(rng, shape=(3, 3, 3)))
+
     def test_missing_output_raises(self, tmp_path, rng):
         script = tmp_path / "backend.py"
         script.write_text("import sys")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -107,3 +109,18 @@ class TestReadOnly:
                        Volume3D(np.zeros((2, 2, 2)), (1.0, 1.0, 1.0), VolumeKind.LABEL).data,
                        BinaryMask(np.zeros((2, 2, 2), dtype=np.uint8), (1.0, 1.0, 1.0)).mask):
             assert not values.flags.writeable
+
+    @pytest.mark.parametrize("copy_of", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    def test_a_copy_is_read_only_too(self, copy_of):
+        data = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
+        for value, name in ((Volume3D(data, (1.0, 2.0, 3.0), VolumeKind.LABEL), "data"),
+                            (Volume3D(data, (1.0, 2.0, 3.0)), "data"),
+                            (BinaryMask(data > 10, (1.0, 2.0, 3.0)), "mask"),
+                            (MipImage(data[0], (2.0, 3.0)), "pixels")):
+            copied = copy_of(value)
+            values = getattr(copied, name)
+            assert type(copied) is type(value) and not values.flags.writeable
+            assert values.dtype == getattr(value, name).dtype and np.array_equal(values, getattr(value, name))
+            assert {k: v for k, v in vars(copied).items() if k != name} == \
+                {k: v for k, v in vars(value).items() if k != name}
