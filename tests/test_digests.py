@@ -13,6 +13,8 @@ A module fixture runs, in one temporary directory:
 - ``resample`` of the first case's PET (trilinear) and of its lesion
   (nearest, an int32 LABEL read);
 - ``window`` and ``mip`` of the first case;
+- ``mip`` of a PET made from integer arithmetic, whose 3 mm grid (250 x
+  21 x 240) is cropped to the 224 frame in x and z;
 - ``inspect`` of the first case's PET, whose stdout is digested.
 
 Each file it writes is digested. Manifests are digested without their
@@ -20,7 +22,8 @@ Each file it writes is digested. Manifests are digested without their
 their paths, as is the stdout of ``inspect``, the training history without its ``epoch_s`` column. Every
 volume and MIP file is float32, which hides most one-ULP changes to the
 float64 arithmetic behind it, so the float64 classifier input that ``run``
-computes for each of its two cases is digested as well.
+computes for each of its two cases, and that of the cropped PET, is
+digested as well.
 
 numpy picks its SIMD math kernels and OpenBLAS its BLAS kernels by CPU, so
 ``digests.json`` is keyed by the numpy version and the OpenBLAS core name.
@@ -47,7 +50,7 @@ import pytest
 
 from petseg import cli, nifti
 from petseg.preprocess import discriminator_mip
-from petseg.volume import VolumeKind
+from petseg.volume import Volume3D, VolumeKind
 
 DIGESTS = Path(__file__).with_name("digests.json")
 RUN_CASES = ("synth_0000", "synth_0001")  # one FDG-like, one PSMA-like
@@ -114,6 +117,10 @@ def make_outputs(root: Path) -> dict[str, str]:
             "--mode", "nearest")
     _petseg("window", "--ct", f"{case}_ct.nii.gz", "--pet", f"{case}_pet.nii.gz", "--out-dir", root / "window")
     _petseg("mip", "--pet", f"{case}_pet.nii.gz", "--out", root / "mip.nii.gz")
+    x, y, z = np.ogrid[:300, :16, :288]
+    cropped = ((x * 7 + y * 13 + z * 11) % 97 * 0.25).astype(np.float32)  # 0 to 24 SUV, exact
+    nifti.write_volume(Volume3D(cropped, (2.5, 4.0, 2.5)), root / "cropped_pet.nii.gz")
+    _petseg("mip", "--pet", root / "cropped_pet.nii.gz", "--out", root / "cropped_mip.nii.gz")
     with contextlib.redirect_stdout(io.StringIO()) as shown:
         _petseg("inspect", f"{case}_pet.nii.gz")
 
@@ -121,9 +128,9 @@ def make_outputs(root: Path) -> dict[str, str]:
                for p in sorted(root.rglob("*")) if p.is_file()}
     inspected = shown.getvalue().replace(f"{root}{os.sep}", "").encode()
     digests["inspect stdout"] = hashlib.sha256(inspected).hexdigest()
-    for case in RUN_CASES:
-        pet = nifti.read_volume(corpus / f"{case}_pet.nii.gz", kind=VolumeKind.PET_SUV)
-        pixels = discriminator_mip(pet).pixels
+    pets = {c: corpus / f"{c}_pet.nii.gz" for c in RUN_CASES} | {"cropped": root / "cropped_pet.nii.gz"}
+    for case, path in pets.items():
+        pixels = discriminator_mip(nifti.read_volume(path, kind=VolumeKind.PET_SUV)).pixels
         digests[f"{case} classifier input, float64"] = hashlib.sha256(pixels.tobytes()).hexdigest()
     return digests
 
