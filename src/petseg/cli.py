@@ -204,7 +204,7 @@ def cmd_inspect(args) -> int:
     print(f"scl_slope:   {header.scl_slope}")
     print(f"scl_inter:   {header.scl_inter}")
     print(f"magic:       {header.magic!r}")
-    data = vol.data
+    data = vol.data.astype(np.float64, copy=False)  # the mean of float32 values, in float64
     print(f"min/max:     {data.min():.6g} / {data.max():.6g}")
     print(f"mean:        {data.mean():.6g}")
     print(f"nonzero:     {int(np.count_nonzero(data))} of {data.size}")

@@ -23,15 +23,19 @@ bytes) with plain ``read()`` calls into a result laid out x-fastest
 (Fortran order), as the file is and as nibabel returns it, and hands
 each run to one of two puts. A volume read scales the run straight into
 its slice of the result, with no decompressed copy of the file and no
-float64 temporaries. ``read_volume(path, mask=True)`` reads a label file
-as a ``BinaryMask``: its put takes each run through the value checks of
-a LABEL volume, raised with the same classes, messages and order, and
-compares it into the bool result (a scaled file's run through one
-float64 run), so a mask costs one byte per voxel where a LABEL volume
-costs four. A read holds its result plus about one run. zlib and numpy
-release the GIL, so two reads overlap on two threads. ``write_volume``
-stores a ``BinaryMask`` as uint8 from its bool bytes, the bytes of its
-LABEL volume.
+float64 temporaries. The result is float32 when every value it holds is
+exactly a float32 value (``volume.float_dtype``): a uint8, int16 or
+float32 file, unscaled or at slope 1 and intercept 0. Other scalings and
+float64 files give float64, and unscaled integer LABEL files int32.
+``read_volume(path, mask=True)`` reads a label file as a ``BinaryMask``:
+its put takes each run through the value checks of a LABEL volume,
+raised with the same classes, messages and order, and compares it into
+the bool result (a scaled file's run through one float64 run), so a
+mask costs one byte per voxel where a LABEL volume costs four. A read
+holds its result plus about one run. zlib and numpy release the GIL, so
+two reads overlap on two threads. ``write_volume`` stores a
+``BinaryMask`` as uint8 from its bool bytes, the bytes of its LABEL
+volume.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from .errors import (
     ValidationError,
 )
 from .manifest import atomic_write
-from .volume import LABEL_FAULTS, BinaryMask, Volume3D, VolumeKind, label_fault
+from .volume import LABEL_FAULTS, BinaryMask, Volume3D, VolumeKind, float_dtype, label_fault
 
 HEADER_SIZE = 348
 MIN_VOX_OFFSET = HEADER_SIZE + 4  # single-file data start after the extension flag
@@ -234,10 +238,12 @@ def read_header_and_volume(path, kind: VolumeKind | None = None) -> tuple[NiftiH
     it starts with the gzip magic, and each run of whole z-planes goes
     straight into the result array, which is laid out x-fastest like the
     file (``data.flags.f_contiguous``), so the read holds little beside the
-    result. Raw values are mapped as :attr:`NiftiHeader.scale` says, in
-    float64. Integer files with slope 1 and intercept 0 keep their integer
-    values without a float detour. Axes that the sform flips are flipped
-    back, so the data are RAS+. ``kind`` overrides the default inference of
+    result. Raw values are mapped as :attr:`NiftiHeader.scale` says. The
+    result is float32 for uint8, int16 and float32 files that are unscaled
+    or have slope 1 and intercept 0, whose values are all float32 values,
+    and float64 otherwise; integer LABEL files with slope 1 and intercept
+    0 keep their integer values in int32, without a float detour. Axes
+    that the sform flips are flipped back, so the data are RAS+. ``kind`` overrides the default inference of
     PET_SUV for float datatypes and LABEL for integer datatypes. A corrupt
     gzip stream is reported before any fault in the bytes it held, and a
     short file before NaN or infinite voxels.
@@ -339,13 +345,14 @@ def _fill(stream, header: NiftiHeader, source, dtype, put) -> np.ndarray:
 
 def _scale_into(planes: np.ndarray, dst: np.ndarray, scale: tuple[float, float] | None) -> None:
     """``dst[...] = planes * slope + inter`` for ``scale = (slope, inter)``
-    (in float64), or ``planes`` as they are when ``scale`` is None."""
+    (in ``dst``'s float dtype, float32 only at slope 1 and intercept 0),
+    or ``planes`` as they are when ``scale`` is None."""
     if scale is None:
         np.copyto(dst, planes)
     else:
         slope, inter = scale
-        np.multiply(planes, slope, out=dst, dtype=np.float64)
-        np.add(dst, inter, out=dst)
+        np.multiply(planes, slope, out=dst, dtype=dst.dtype)
+        np.add(dst, inter, out=dst, dtype=dst.dtype)
 
 
 def _decode_volume(stream, kind: VolumeKind | None, source) -> tuple[NiftiHeader, Volume3D]:
@@ -355,10 +362,13 @@ def _decode_volume(stream, kind: VolumeKind | None, source) -> tuple[NiftiHeader
     scale = header.scale
     if kind is None:
         kind = VolumeKind.PET_SUV if header.dtype.kind == "f" else VolumeKind.LABEL
-    # unscaled integer labels go straight to int32, everything else to float64
-    integer = kind is VolumeKind.LABEL and header.dtype.kind in "iu" and scale is None
-    out = _fill(stream, header, source, np.int32 if integer else np.float64,
-                lambda planes, dst: _scale_into(planes, dst, scale))
+    # unscaled integer labels go straight to int32; unscaled values that
+    # float32 holds exactly stay float32 (x * 1 + 0 only turns -0 into +0)
+    if kind is VolumeKind.LABEL and header.dtype.kind in "iu" and scale is None:
+        dtype = np.int32
+    else:
+        dtype = float_dtype(header.dtype if scale in (None, (1.0, 0.0)) else np.float64)
+    out = _fill(stream, header, source, dtype, lambda planes, dst: _scale_into(planes, dst, scale))
     try:
         return header, Volume3D(out, header.spacing, kind)
     except ValidationError as exc:  # e.g. negative or fractional values in a LABEL file

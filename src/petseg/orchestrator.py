@@ -143,8 +143,9 @@ class Predictor:
 
 
 class SuvThresholdPredictor(Predictor):
-    """Probability = clipped PET channel / cap. Exercises the full
-    orchestration path without any trained weights."""
+    """Probability = clipped PET channel / cap, in float64 whatever the
+    channel's dtype. Exercises the full orchestration path without any
+    trained weights."""
 
     def __init__(self, cap: float = SUV_CAP, name: str = "suv_threshold"):
         if not (math.isfinite(cap) and cap > 0):
@@ -153,9 +154,12 @@ class SuvThresholdPredictor(Predictor):
         self.name = name
 
     def predict(self, stack: ChannelStack) -> Volume3D:
-        # divide and clip in memory order, then hand back the input's layout
+        # widen, divide and clip in memory order, then hand back the input's
+        # layout; a float64 copy first, since a mixed float32/float64 divide is slower
         pet, axes = _memory_order(stack.pet_clipped.data)
-        prob = np.divide(pet, self.cap)
+        prob = np.empty_like(pet, dtype=np.float64)
+        np.copyto(prob, pet)
+        np.divide(prob, self.cap, out=prob)
         np.clip(prob, 0.0, 1.0, out=prob)
         return Volume3D(np.flip(prob, axes), stack.spacing, VolumeKind.PROBABILITY)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidWindow, ValidationError
-from .volume import Volume3D, VolumeKind, _check_spacing, _read_only, _rebuilt, require_same_grid
+from .volume import Volume3D, VolumeKind, _check_spacing, _read_only, _rebuilt, float_dtype, require_same_grid
 
 PET_WINDOW = (0.0, 20.0)     # SUV
 CT_WINDOW = (-300.0, 400.0)  # HU
@@ -115,11 +115,12 @@ def _axis_weights(n_in: int, n_out: int, s: float, t: float):
 
 
 def _linear_pass(data: np.ndarray, axis: int, lo, hi, f) -> np.ndarray:
-    """The single-axis linear pass of ``data`` along ``axis``."""
+    """The single-axis linear pass of ``data`` along ``axis``, in float64:
+    float32 rows are widened once they are taken."""
     w1 = f.reshape([-1 if a == axis else 1 for a in range(3)])
-    out = np.take(data, lo, axis=axis)
+    out = np.take(data, lo, axis=axis).astype(np.float64, copy=False)
     np.multiply(out, 1.0 - w1, out=out)
-    upper = np.take(data, hi, axis=axis)
+    upper = np.take(data, hi, axis=axis).astype(np.float64, copy=False)
     np.multiply(upper, w1, out=upper)
     out += upper
     return out
@@ -135,7 +136,9 @@ def resample_trilinear(vol: Volume3D, target) -> Volume3D:
 
     Not valid for LABEL volumes (use :func:`resample_nearest`). Resampling
     at the identical spacing returns a volume on the input's read-only
-    data. The output range is clipped to the input range, which the exact
+    data. Otherwise the output is float64 and every pass computes in
+    float64, so a float32 input gives the bits of its float64 widening.
+    The output range is clipped to the input range, which the exact
     arithmetic already guarantees up to float rounding; the range is taken
     slab by slab.
 
@@ -207,10 +210,15 @@ def resample_nearest(vol: Volume3D, target) -> Volume3D:
 
 
 def clip_intensity(vol: Volume3D, lo: float, hi: float) -> Volume3D:
-    """Clamp every voxel to [lo, hi]; shape, spacing and kind are preserved."""
+    """Clamp every voxel to [lo, hi]; shape, spacing and kind are preserved.
+
+    float32 values stay float32 when both bounds are float32 values, as
+    the default windows are; otherwise they are widened and clipped in
+    float64, so a bound such as 20.1 is not rounded."""
     if not lo < hi:
         raise InvalidWindow(f"clip window requires lo < hi, got [{lo}, {hi}]")
-    return vol.with_data(np.clip(vol.data, lo, hi))
+    dtype = float_dtype(vol.data.dtype, lo, hi)
+    return vol.with_data(np.clip(vol.data.astype(dtype, copy=False), dtype.type(lo), dtype.type(hi)))
 
 
 def build_channels(ct: Volume3D, pet: Volume3D, window: WindowSpec = WindowSpec()) -> ChannelStack:

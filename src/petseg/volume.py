@@ -10,6 +10,11 @@ same values. The values of a ``Volume3D``, a ``BinaryMask`` and a
 ``MipImage`` are read-only views, made at construction and by pickle
 and copy: a write through one raises ``ValueError``, and the array
 passed in keeps its own flags.
+
+Values that are exactly float32 values stay float32 (4 bytes per voxel)
+until arithmetic needs more: :func:`float_dtype` is the one rule, and
+each site that computes on a volume's values widens them to float64
+itself, so no result depends on numpy's type promotion.
 """
 
 from __future__ import annotations
@@ -60,6 +65,16 @@ def _rebuilt(self):
     return type(self), tuple(vars(self).values())
 
 
+def float_dtype(dtype, *bounds) -> np.dtype:
+    """float32 when values of ``dtype`` and every number in ``bounds`` are
+    exactly float32 values, else float64: the dtype that holds them, and
+    what clipping them to the bounds yields, with nothing rounded. Any
+    integer dtype of at most 16 bits (uint8, int16) fits in float32."""
+    with np.errstate(over="ignore"):  # a bound beyond float32's range casts to inf and differs
+        exact = np.can_cast(dtype, np.float32) and all(float(np.float32(b)) == b for b in bounds)
+    return np.dtype(np.float32 if exact else np.float64)
+
+
 def label_fault(data: np.ndarray) -> int | None:
     """The index in ``LABEL_FAULTS`` of the gravest fault of ``data`` as
     LABEL values, or None when it has none."""
@@ -82,9 +97,11 @@ def label_fault(data: np.ndarray) -> int | None:
 class Volume3D:
     """A 3D scalar grid plus per-axis spacing in millimetres.
 
-    ``data`` is a read-only float64 (int32 for LABEL) view, not
-    necessarily contiguous: it may be strided, such as the ``np.flip``
-    views the TTA ensemble hands to predictors.
+    ``data`` is a read-only view, not necessarily contiguous: it may be
+    strided, such as the ``np.flip`` views the TTA ensemble hands to
+    predictors. Its dtype is int32 for LABEL; otherwise float32 data stay
+    float32 and any other dtype becomes float64, so code that computes on
+    ``data`` widens it to float64 first.
     """
 
     data: np.ndarray
@@ -102,9 +119,8 @@ class Volume3D:
                 raise ValidationError(LABEL_FAULTS[fault])
             if data.dtype != np.int32:
                 data = data.astype(np.int32)
-        else:
-            if data.dtype != np.float64:
-                data = data.astype(np.float64)
+        elif data.dtype != float_dtype(data.dtype):  # float32 and float64 data are kept
+            data = data.astype(np.float64)
         object.__setattr__(self, "data", _read_only(data))
         object.__setattr__(self, "spacing", _check_spacing(self.spacing))
 

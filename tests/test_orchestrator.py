@@ -344,6 +344,19 @@ class TestLayout:
         expected = np.clip(flipped.pet_clipped.data / 7.0, 0, 1)
         assert out.data.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("flip", ALL_FLIPS)
+    def test_float32_stack_gives_the_bytes_of_its_widening(self, rng, layout, flip):
+        # the SUV divide runs in float64 on a float32 clipped PET; a float32
+        # divide by 20 rounds most values differently
+        ct, pet = make_stack(rng, shape=(7, 6, 5)).channels[:2]
+        narrow = [ch.with_data(np.asarray(ch.data, np.float32, order=layout)) for ch in (ct, pet)]
+        wide = [ch.with_data(ch.data.astype(np.float64)) for ch in narrow]
+        stacks = [flip_stack(build_channels(*pair), flip) for pair in (narrow, wide)]
+        assert stacks[0].pet_clipped.data.dtype == np.float32
+        outs = [SuvThresholdPredictor().predict(stack).data for stack in stacks]
+        assert outs[0].dtype == np.float64 and outs[0].strides == outs[1].strides
+        assert outs[0].tobytes() == outs[1].tobytes()
+
     @pytest.mark.parametrize("value", [np.nan, -1e-12, 1 + 1e-12])
     def test_range_check_reads_reversed_outputs(self, rng, layout, value):
         class Reversed(Predictor):

@@ -352,3 +352,56 @@ class TestNormalizeMip:
         assert mip.pixels.min() >= 0.0
         assert mip.pixels.max() <= 1.0
         assert mip.source_spacing == (3.0, 3.0)
+
+
+def float32_volume(rng, layout, shape=(30, 20, 40), spacing=(2.0, 1.5, 3.0), kind=VolumeKind.PET_SUV,
+                   lo=0.0, hi=30.0):
+    """A volume of float32 values laid out in ``layout``, as a float32 file reads."""
+    return Volume3D(np.asarray(rng.uniform(lo, hi, size=shape), np.float32, order=layout), spacing, kind)
+
+
+class TestFloat32Values:
+    """float32 values stay float32 until arithmetic, which computes in
+    float64: each result equals that of the float64 widening, byte for byte."""
+
+    @pytest.mark.parametrize("spacing", [(2.0, 1.5, 2.5), (4.0, 5.0, 3.5)], ids=["down", "up"])
+    def test_mip_is_the_mip_of_the_widening(self, rng, layout, spacing):
+        pet = float32_volume(rng, layout, spacing=spacing)
+        wide = pet.with_data(pet.data.astype(np.float64))
+        assert pet.data.dtype == np.float32 and wide.data.dtype == np.float64
+        assert resample_trilinear(pet, MIP_SPACING).data.dtype == np.float64
+        assert discriminator_mip(pet).pixels.tobytes() == discriminator_mip(wide).pixels.tobytes()
+
+    def test_default_windows_clip_in_float32(self, rng, layout):
+        ct = float32_volume(rng, layout, lo=-1200.0, hi=1500.0, kind=VolumeKind.CT_HU)
+        pet = float32_volume(rng, layout, lo=0.0, hi=40.0)
+        stack = build_channels(ct, pet)
+        assert [ch.data.dtype for ch in stack.channels] == [np.float32] * 4
+        assert np.array_equal(stack.ct_clipped.data, np.clip(ct.data.astype(np.float64), -300.0, 400.0))
+        assert np.array_equal(stack.pet_clipped.data, np.clip(pet.data.astype(np.float64), 0.0, 20.0))
+
+    def test_bound_that_float32_rounds_clips_in_float64(self, rng):
+        # float32(20.1) is 20.100000381..., so a float32 clip would differ
+        pet = float32_volume(rng, "F", lo=0.0, hi=40.0)
+        ct = float32_volume(rng, "F", lo=-1200.0, hi=1500.0, kind=VolumeKind.CT_HU)
+        stack = build_channels(ct, pet, WindowSpec(pet_hi=20.1))
+        clipped = stack.pet_clipped.data
+        assert clipped.dtype == np.float64
+        assert clipped.tobytes() == np.clip(pet.data.astype(np.float64), 0.0, 20.1).tobytes()
+        assert stack.ct_clipped.data.dtype == np.float32
+
+    def test_build_channels_holds_two_float32_channels(self, rng):
+        shape = (64, 64, 80)
+        ct = float32_volume(rng, "F", shape=shape, lo=-1200.0, hi=1500.0, kind=VolumeKind.CT_HU)
+        pet = float32_volume(rng, "F", shape=shape, lo=0.0, hi=40.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stack = build_channels(ct, pet)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert stack.pet_clipped.data.dtype == np.float32
+        # the two clipped channels, 4 bytes per voxel each, measured 8.01;
+        # clipping a float64 widening would take 16
+        assert peak <= 8.1 * ct.data.size, peak / ct.data.size
