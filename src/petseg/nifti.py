@@ -367,7 +367,7 @@ def _decode_volume(stream, kind: VolumeKind | None, source) -> tuple[NiftiHeader
     if kind is VolumeKind.LABEL and header.dtype.kind in "iu" and scale is None:
         dtype = np.int32
     else:
-        dtype = float_dtype(header.dtype if scale in (None, (1.0, 0.0)) else np.float64)
+        dtype = float_dtype(header.dtype) if scale in (None, (1.0, 0.0)) else np.float64
     out = _fill(stream, header, source, dtype, lambda planes, dst: _scale_into(planes, dst, scale))
     try:
         return header, Volume3D(out, header.spacing, kind)

@@ -354,10 +354,10 @@ class TestNormalizeMip:
         assert mip.source_spacing == (3.0, 3.0)
 
 
-def float32_volume(rng, layout, shape=(30, 20, 40), spacing=(2.0, 1.5, 3.0), kind=VolumeKind.PET_SUV,
-                   lo=0.0, hi=30.0):
+def float32_volume(rng, layout, shape=(30, 20, 40), **kwargs):
     """A volume of float32 values laid out in ``layout``, as a float32 file reads."""
-    return Volume3D(np.asarray(rng.uniform(lo, hi, size=shape), np.float32, order=layout), spacing, kind)
+    vol = random_volume(rng, shape=shape, **kwargs)
+    return vol.with_data(np.asarray(vol.data, np.float32, order=layout))
 
 
 class TestFloat32Values:
@@ -366,7 +366,7 @@ class TestFloat32Values:
 
     @pytest.mark.parametrize("spacing", [(2.0, 1.5, 2.5), (4.0, 5.0, 3.5)], ids=["down", "up"])
     def test_mip_is_the_mip_of_the_widening(self, rng, layout, spacing):
-        pet = float32_volume(rng, layout, spacing=spacing)
+        pet = float32_volume(rng, layout, spacing=spacing, hi=30.0)
         wide = pet.with_data(pet.data.astype(np.float64))
         assert pet.data.dtype == np.float32 and wide.data.dtype == np.float64
         assert resample_trilinear(pet, MIP_SPACING).data.dtype == np.float64
