@@ -243,10 +243,11 @@ def read_header_and_volume(path, kind: VolumeKind | None = None) -> tuple[NiftiH
     or have slope 1 and intercept 0, whose values are all float32 values,
     and float64 otherwise; integer LABEL files with slope 1 and intercept
     0 keep their integer values in int32, without a float detour. Axes
-    that the sform flips are flipped back, so the data are RAS+. ``kind`` overrides the default inference of
-    PET_SUV for float datatypes and LABEL for integer datatypes. A corrupt
-    gzip stream is reported before any fault in the bytes it held, and a
-    short file before NaN or infinite voxels.
+    that the sform flips are flipped back, so the data are RAS+. ``kind``
+    overrides the default inference of PET_SUV for float datatypes and
+    LABEL for integer datatypes. A corrupt gzip stream is reported before
+    any fault in the bytes it held, and a short file before NaN or
+    infinite voxels.
     """
     return _read_file(path, lambda stream: _decode_volume(stream, kind, path))
 
