@@ -4,9 +4,13 @@ False-positive volume sums the sizes of predicted connected components
 with zero ground-truth overlap; false-negative volume is the symmetric
 quantity on ground-truth components. Components use 26-connectivity by
 default and are numbered 1..K in first-encounter order of the x-fastest
-scan; the labeller works array-wide on the foreground voxel list (a run
-lookup bordered with background, label hooking and pointer jumping).
-Volumes are reported both as raw voxel counts and millilitres.
+scan. The labeller works on the x-runs of the foreground (the run-based
+labelling of He, Chao and Suzuki, IEEE TIP 2008): it joins each run to
+the overlapping runs of its prior rows, then hooks labels and jumps
+pointers on run ids. Misses are scored per run, from one join of the two
+masks' runs in the same rows, so evaluation makes no label grid; a
+grid is built only when ``RunLabels.data`` is read. Volumes are reported
+both as raw voxel counts and millilitres.
 """
 
 from __future__ import annotations
@@ -19,83 +23,136 @@ import numpy as np
 from . import nifti
 from .errors import ValidationError
 from .manifest import write_csv
-from .volume import BinaryMask, Volume3D, VolumeKind, require_same_grid
+from .volume import BinaryMask, require_same_grid
 
 CONNECTIVITIES = (6, 18, 26)
+_SLAB = 1 << 18  # voxels per slab of dice's intersection count
 
 
-def _prior_row_offsets(connectivity: int) -> list[tuple[int, int, int]]:
-    """Neighbour offsets (dx, dy, dz) into the rows that precede a voxel's
-    row in x-fastest scan order; the in-row neighbour shares its run."""
+def _prior_rows(connectivity: int) -> list[tuple[int, int, int]]:
+    """(dy, dz, widen) for each row that precedes a run's row in x-fastest
+    scan order and may hold its neighbours: ``widen`` is 1 when the
+    connectivity allows a diagonal step in x into that row."""
     if connectivity not in CONNECTIVITIES:
         raise ValidationError(f"connectivity must be one of {CONNECTIVITIES}, got {connectivity}")
     steps = {6: 1, 18: 2, 26: 3}[connectivity]
-    return [(dx, dy, dz) for dz in (-1, 0) for dy in (-1, 0, 1) for dx in (-1, 0, 1)
-            if (dz, dy) < (0, 0) and abs(dx) + abs(dy) + abs(dz) <= steps]
+    return [(dy, dz, int(abs(dy) + abs(dz) < steps)) for dz in (-1, 0) for dy in (-1, 0, 1)
+            if (dz, dy) < (0, 0) and abs(dy) + abs(dz) <= steps]
+
+
+def _pairs(first, last, lo, hi):
+    """(i, j), int32, for every key range ``[lo[i], hi[i]]`` and run ``j``
+    of the sorted, disjoint runs ``[first[j], last[j]]`` that it overlaps."""
+    begin = np.searchsorted(last, lo)  # the first run that ends at or after lo
+    n = np.searchsorted(first, hi, "right")  # past the last run that starts by hi
+    n -= begin
+    i = np.repeat(np.arange(n.size, dtype=np.int32), n)
+    begin += n
+    begin -= np.cumsum(n)  # less the place of i's first pair: j = begin[i] + place
+    j = np.repeat(begin.astype(np.int32), n)
+    j += np.arange(j.size, dtype=np.int32)
+    return i, j
+
+
+@dataclass(frozen=True)
+class RunLabels:
+    """Connected components of a mask as labelled x-runs.
+
+    ``first`` and ``last`` are the keys ``row * (nx + 2) + x`` of each
+    run's first and last voxel, with ``row = y + ny * z``, in scan order;
+    the gap of two keys between rows keeps a run widened by one voxel
+    inside its own row. ``component`` is each run's component, 1..count.
+    """
+
+    first: np.ndarray
+    last: np.ndarray
+    component: np.ndarray
+    shape: tuple[int, int, int]
+    spacing: tuple[float, float, float]
+
+    @property
+    def data(self) -> np.ndarray:
+        """The dense int32 label grid, background 0, as a read-only
+        x-fastest array indexed ``[x, y, z]``; built on each read."""
+        nx, ny, nz = self.shape
+        length = self.last - self.first + 1
+        start = self.first - 2 * (self.first // (nx + 2))  # x-fastest scan index
+        voxel = np.repeat(start - (np.cumsum(length) - length), length)
+        voxel += np.arange(voxel.size)
+        grid = np.zeros((nz, ny, nx), dtype=np.int32)
+        grid.reshape(-1)[voxel] = np.repeat(self.component, length)
+        labels = grid.T
+        labels.flags.writeable = False
+        return labels
+
+    def missed_voxels(self, hit) -> int:
+        """The total size of the components none of whose runs is in ``hit``."""
+        touched = np.zeros(self.component.size + 1, dtype=bool)  # at least count + 1 entries
+        touched[self.component[hit]] = True
+        missed = ~touched[self.component]
+        return int((self.last[missed] - self.first[missed] + 1).sum())
 
 
 def connected_components(mask: BinaryMask, connectivity: int = 26):
     """Label the connected components of a binary mask.
 
-    Returns (labels, count): a LABEL volume with background 0 and
-    components numbered 1..count in first-encounter scan order.
+    Returns (labels, count): a :class:`RunLabels` whose components are
+    numbered 1..count in first-encounter scan order. ``labels.data`` is
+    the dense int32 grid, built only when it is read.
 
-    Works on the foreground voxel list in x-fastest scan order. Each run
-    of consecutive x starts as one label, written into a lookup bordered
-    with background (a column after each row, a row after each plane,
-    and a leading plane, row and voxel), so for every prior-row offset
-    one gather, with no edge test, gives one edge per pair of touching
-    runs. Over the edges of all offsets at once, the larger root of each
-    edge hooks to the smaller one (``np.minimum.at``) and pointer jumping
+    Works on the x-runs of the foreground, taken once from its x-fastest
+    scan indices. For each prior row, one ``np.searchsorted`` join gives
+    the runs of that row whose x-extent overlaps a run's own, widened by
+    one voxel where the connectivity allows a diagonal step in x, with y
+    kept inside the grid so that no join wraps into another row or
+    plane. Over these edges between runs, the larger root of each edge
+    hooks to the smaller one (``np.minimum.at``) and pointer jumping
     resolves the chains, until no edge joins two labels (Shiloach-Vishkin
-    hooking). A root is therefore the smallest index in its component,
-    so numbering roots in increasing order is first-encounter numbering.
+    hooking). A root is therefore the first run of its component, so
+    numbering roots in increasing order is first-encounter numbering.
+    Time and memory follow the foreground, not the grid, past the one
+    scan for it.
     """
-    offsets = _prior_row_offsets(connectivity)
-    nx, ny, nz = mask.shape
+    prior = _prior_rows(connectivity)
+    nx, ny, _ = mask.shape
+    px = nx + 2  # keys per row
     flat = np.flatnonzero(mask.mask.transpose(2, 1, 0))  # x-fastest scan index
-    if flat.size == 0:
-        return Volume3D(np.zeros((nz, ny, nx), dtype=np.int32).T, mask.spacing, VolumeKind.LABEL), 0
-    px, py = nx + 1, ny + 1  # bordered row and plane lengths
-    at = flat + flat // nx + px * (flat // (nx * ny)) + (px * py + px + 1)  # (x+1) + px*(y+1) + px*py*(z+1)
-    # each run of consecutive x starts as one label; the border column ends every row
-    start = np.ones(flat.size, dtype=bool)
-    start[1:] = np.diff(at) != 1
-    run = np.cumsum(start, dtype=np.int32)
-    del start
-    lookup = np.zeros(at[-1] + 1, dtype=np.int32)  # every offset points to an earlier row
-    lookup[at] = run  # 1-based run of each voxel, 0 for background
-    run -= 1
+    key = flat // nx  # row
+    key *= 2
+    key += flat
+    del flat
+    step = np.diff(key) != 1  # where a run ends; the two-key gap ends every row
+    first, last = np.append(key[:1], key[1:][step]), np.append(key[:-1][step], key[-1:])
+    del key, step
+    y = (first // px) % ny
+    edge = {-1: y == 0, 1: y == ny - 1}  # runs whose row has no row before or after it in y
+    del y
     edges = []
-    for dx, dy, dz in offsets:
-        b = lookup[at + (dx + px * (dy + py * dz))]
-        hit = b > 0
-        ra, rb = run[hit], b[hit] - 1
-        del b, hit
-        # a run meets a neighbouring run in consecutive voxels: keep one edge
-        first = np.ones(ra.size, dtype=bool)
-        first[1:] = (ra[1:] != ra[:-1]) | (rb[1:] != rb[:-1])
-        edges.append((ra[first], rb[first]))
-    del at, lookup  # freed before the label grid is made
-    ra, rb = (np.concatenate(ends) for ends in zip(*edges))  # never empty: every connectivity has y and z offsets
+    for dy, dz, widen in prior:
+        shift = (dy + ny * dz) * px
+        lo, hi = first + (shift - widen), last + (shift + widen)
+        if dy:  # no join wraps past y = 0 or y = ny - 1 into another row or plane
+            lo[edge[dy]] = hi[edge[dy]] = -1  # a range that meets no run
+        edges.append(_pairs(first, last, lo, hi))
+    del edge, lo, hi
+    ra, rb = (np.concatenate(ends) for ends in zip(*edges))  # every edge joins two runs
     del edges
-    root = np.arange(run[-1] + 1, dtype=np.int32)
-    while True:
-        join = ra != rb
-        if not join.any():
-            break
-        ra, rb = ra[join], rb[join]
+    root = np.arange(first.size, dtype=np.int32)
+    while ra.size:
         np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
         while True:  # pointer jumping: every run points at its root again
             top = root[root]
             if np.array_equal(top, root):
                 break
             root = top
-        ra, rb = root[ra], root[rb]
+        ra = root[ra]
+        rb = root[rb]
+        join = ra != rb
+        ra = ra[join]
+        rb = rb[join]
     number = np.cumsum(root == np.arange(root.size), dtype=np.int32)
-    grid = np.zeros((nz, ny, nx), dtype=np.int32)
-    grid.reshape(-1)[flat] = number[root[run]]
-    return Volume3D(grid.T, mask.spacing, VolumeKind.LABEL), int(number[-1])
+    count = int(number[-1]) if number.size else 0
+    return RunLabels(first, last, number[root], mask.shape, mask.spacing), count
 
 
 @dataclass(frozen=True)
@@ -122,27 +179,26 @@ def dice(pred: BinaryMask, gt: BinaryMask) -> float | None:
     g = gt.voxel_count
     if p == 0 and g == 0:
         return None
-    inter = int(np.count_nonzero(pred.mask & gt.mask))
+    # |P∩G| a slab of z-planes at a time, through one slab-sized buffer
+    nx, ny, nz = pred.shape
+    step = max(1, _SLAB // (nx * ny))
+    both = np.empty((nx, ny, step), dtype=bool, order="F")
+    inter = 0
+    for z in range(0, nz, step):
+        n = min(step, nz - z)
+        np.logical_and(pred.mask[:, :, z:z + n], gt.mask[:, :, z:z + n], out=both[:, :, :n])
+        inter += int(np.count_nonzero(both[:, :, :n]))
     return 2.0 * inter / (p + g)
-
-
-def _missed_voxels(mask: BinaryMask, other: BinaryMask, connectivity: int):
-    """(voxels, count): the total size of the components of ``mask`` that
-    share no voxel with ``other``, and the number of components."""
-    labels, count = connected_components(mask, connectivity)
-    # gathered through the transposed views, which are C-ordered for the
-    # x-fastest labels and masks: numpy's boolean indexing is fast only there
-    grid = labels.data.T
-    sizes = np.bincount(grid[mask.mask.T], minlength=count + 1)
-    sizes[grid[other.mask.T]] = 0  # background has size 0 already
-    return int(sizes.sum()), count
 
 
 def compute_case_metrics(pred: BinaryMask, gt: BinaryMask, case_id: str = "case",
                          connectivity: int = 26) -> CaseMetrics:
     require_same_grid(pred, gt, "pred/gt masks")
-    fpv_vox, n_pred = _missed_voxels(pred, gt, connectivity)
-    fnv_vox, n_gt = _missed_voxels(gt, pred, connectivity)
+    p, n_pred = connected_components(pred, connectivity)
+    g, n_gt = connected_components(gt, connectivity)
+    hit_p, hit_g = _pairs(g.first, g.last, p.first, p.last)  # the runs that overlap, side by side
+    fpv_vox = p.missed_voxels(hit_p)
+    fnv_vox = g.missed_voxels(hit_g)
     return CaseMetrics(
         case_id=case_id,
         dice=dice(pred, gt),
