@@ -125,16 +125,16 @@ def connected_components(mask: BinaryMask, connectivity: int = 26):
     first, last = np.append(key[:1], key[1:][step]), np.append(key[:-1][step], key[-1:])
     del key, step
     y = (first // px) % ny
-    edge = {-1: y == 0, 1: y == ny - 1}  # runs whose row has no row before or after it in y
+    border = {-1: y == 0, 1: y == ny - 1}  # runs whose row has no row before or after it in y
     del y
     edges = []
     for dy, dz, widen in prior:
         shift = (dy + ny * dz) * px
         lo, hi = first + (shift - widen), last + (shift + widen)
         if dy:  # no join wraps past y = 0 or y = ny - 1 into another row or plane
-            lo[edge[dy]] = hi[edge[dy]] = -1  # a range that meets no run
+            lo[border[dy]] = hi[border[dy]] = -1  # a range that meets no run
         edges.append(_pairs(first, last, lo, hi))
-    del edge, lo, hi
+    del border, lo, hi
     ra, rb = (np.concatenate(ends) for ends in zip(*edges))  # every edge joins two runs
     del edges
     root = np.arange(first.size, dtype=np.int32)
