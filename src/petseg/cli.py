@@ -40,7 +40,7 @@ from .discriminator import (
 from .errors import IoFailure, PetsegError, PredictorFailure, ValidationError
 from .fusion import load_organ_manifest, merge_organ_masks
 from .manifest import span, span_tree, write_run_manifest
-from .metrics import case_id_of, evaluate_case, write_metrics_csv
+from .metrics import case_id_of, evaluate_case, mean_dice, write_metrics_csv
 from .orchestrator import (
     N_FOLDS,
     REDUCED_FLIPS,
@@ -362,11 +362,10 @@ def cmd_evaluate(args) -> int:
     write_metrics_csv(args.out, cases)
     _write_manifest(args, args.out, inputs=[pred_files[n] for n in common] + [gt_files[n] for n in common],
                     extra={"unmatched": unmatched})
-    defined = [c.dice for c in cases if c.dice is not None]
-    mean_dice = float(np.mean(defined)) if defined else float("nan")
+    dice_mean, defined = mean_dice(cases)
     skipped = len(unmatched["pred"]) + len(unmatched["gt"])
     print(f"evaluated {len(cases)} cases -> {args.out} (mean dice over "
-          f"{len(defined)} defined: {mean_dice:.4f}; {skipped} unmatched files skipped)")
+          f"{defined} defined: {dice_mean:.4f}; {skipped} unmatched files skipped)")
     return EXIT_OK
 
 

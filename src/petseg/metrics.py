@@ -7,10 +7,10 @@ default and are numbered 1..K in first-encounter order of the x-fastest
 scan. The labeller works on the x-runs of the foreground (the run-based
 labelling of He, Chao and Suzuki, IEEE TIP 2008): it joins each run to
 the overlapping runs of its prior rows, then hooks labels and jumps
-pointers on run ids. Misses are scored per run, from one join of the two
-masks' runs in the same rows, so evaluation makes no label grid; a
-grid is built only when ``RunLabels.data`` is read. Volumes are reported
-both as raw voxel counts and millilitres.
+pointers on run ids. Dice and the misses come from one join of the two
+masks' runs in the same rows, so evaluation makes no grid past the
+labeller's one scan per mask. Volumes are reported both as raw voxel
+counts and millilitres.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .manifest import write_csv
 from .volume import BinaryMask, require_same_grid
 
 CONNECTIVITIES = (6, 18, 26)
-_SLAB = 1 << 18  # voxels per slab of dice's intersection count
 
 
 def _prior_rows(connectivity: int) -> list[tuple[int, int, int]]:
@@ -68,14 +67,18 @@ class RunLabels:
     last: np.ndarray
     component: np.ndarray
     shape: tuple[int, int, int]
-    spacing: tuple[float, float, float]
+
+    @property
+    def length(self) -> np.ndarray:
+        """Each run's voxel count."""
+        return self.last - self.first + 1
 
     @property
     def data(self) -> np.ndarray:
         """The dense int32 label grid, background 0, as a read-only
         x-fastest array indexed ``[x, y, z]``; built on each read."""
         nx, ny, nz = self.shape
-        length = self.last - self.first + 1
+        length = self.length
         start = self.first - 2 * (self.first // (nx + 2))  # x-fastest scan index
         voxel = np.repeat(start - (np.cumsum(length) - length), length)
         voxel += np.arange(voxel.size)
@@ -90,7 +93,7 @@ class RunLabels:
         touched = np.zeros(self.component.size + 1, dtype=bool)  # at least count + 1 entries
         touched[self.component[hit]] = True
         missed = ~touched[self.component]
-        return int((self.last[missed] - self.first[missed] + 1).sum())
+        return int(self.length[missed].sum())
 
 
 def connected_components(mask: BinaryMask, connectivity: int = 26):
@@ -152,7 +155,7 @@ def connected_components(mask: BinaryMask, connectivity: int = 26):
         rb = rb[join]
     number = np.cumsum(root == np.arange(root.size), dtype=np.int32)
     count = int(number[-1]) if number.size else 0
-    return RunLabels(first, last, number[root], mask.shape, mask.spacing), count
+    return RunLabels(first, last, number[root], mask.shape), count
 
 
 @dataclass(frozen=True)
@@ -171,28 +174,23 @@ class CaseMetrics:
         return self.dice is not None
 
 
-def dice(pred: BinaryMask, gt: BinaryMask) -> float | None:
-    """2|P∩G| / (|P|+|G|); None when both masks are empty, 0.0 when
-    exactly one is."""
-    require_same_grid(pred, gt, "pred/gt masks")
-    p = pred.voxel_count
-    g = gt.voxel_count
-    if p == 0 and g == 0:
+def dice(p: RunLabels, g: RunLabels, hit_p, hit_g) -> float | None:
+    """2|P∩G| / (|P|+|G|) from two masks' runs and the pairs (``hit_p``,
+    ``hit_g``) of their overlapping runs; None when both masks are empty,
+    0.0 when exactly one is. Runs of one mask are disjoint, so the pairs'
+    overlaps count each voxel of P∩G once."""
+    total = int(p.length.sum() + g.length.sum())
+    if total == 0:
         return None
-    # |P∩G| a slab of z-planes at a time, through one slab-sized buffer
-    nx, ny, nz = pred.shape
-    step = max(1, _SLAB // (nx * ny))
-    both = np.empty((nx, ny, step), dtype=bool, order="F")
-    inter = 0
-    for z in range(0, nz, step):
-        n = min(step, nz - z)
-        np.logical_and(pred.mask[:, :, z:z + n], gt.mask[:, :, z:z + n], out=both[:, :, :n])
-        inter += int(np.count_nonzero(both[:, :, :n]))
-    return 2.0 * inter / (p + g)
+    inter = np.minimum(p.last[hit_p], g.last[hit_g]) - np.maximum(p.first[hit_p], g.first[hit_g]) + 1
+    return 2.0 * int(inter.sum()) / total
 
 
 def compute_case_metrics(pred: BinaryMask, gt: BinaryMask, case_id: str = "case",
                          connectivity: int = 26) -> CaseMetrics:
+    """Score ``pred`` against ``gt`` on one grid (else ShapeMismatch): each
+    mask is labelled once, and Dice, FPV and FNV all come from one join
+    of their overlapping runs."""
     require_same_grid(pred, gt, "pred/gt masks")
     p, n_pred = connected_components(pred, connectivity)
     g, n_gt = connected_components(gt, connectivity)
@@ -201,7 +199,7 @@ def compute_case_metrics(pred: BinaryMask, gt: BinaryMask, case_id: str = "case"
     fnv_vox = g.missed_voxels(hit_g)
     return CaseMetrics(
         case_id=case_id,
-        dice=dice(pred, gt),
+        dice=dice(p, g, hit_p, hit_g),
         fpv_voxels=fpv_vox,
         fpv_ml=fpv_vox * pred.voxel_volume_mm3 / 1000.0,
         fnv_voxels=fnv_vox,
@@ -233,7 +231,6 @@ def evaluate_case(pred_path, gt_path, case_id: str | None = None, connectivity: 
         raise ValidationError(f"lesion_label must be >= 1, got {lesion_label}")
     pred = nifti.read_volume(pred_path, mask=True, label=lesion_label)
     gt = nifti.read_volume(gt_path, mask=True, label=lesion_label)
-    require_same_grid(pred, gt, "pred/gt volumes")
     if case_id is None:
         case_id = case_id_of(pred_path)
     return compute_case_metrics(pred, gt, case_id, connectivity)
@@ -261,17 +258,19 @@ def _row(m: CaseMetrics) -> list[str]:
     ]
 
 
-def write_metrics_csv(path, cases) -> None:
-    """One row per case plus a trailing mean row.
+def mean_dice(cases) -> tuple[float, int]:
+    """(mean, n): the mean Dice over the n cases that define it, NaN if none do."""
+    defined = [m.dice for m in cases if m.dice is not None]
+    return float(np.mean(defined)) if defined else float("nan"), len(defined)
 
-    The mean Dice covers defined cases only; other columns average over all
-    cases.
-    """
+
+def write_metrics_csv(path, cases) -> None:
+    """One row per case plus a trailing mean row: the mean Dice covers the
+    defined cases only (:func:`mean_dice`), other columns all cases."""
     cases = list(cases)
     rows = [CSV_HEADER, *map(_row, cases)]
     if cases:
-        defined = [m.dice for m in cases if m.dice is not None]
-        mean_dice = float(np.mean(defined)) if defined else float("nan")
+        dice_mean, defined = mean_dice(cases)
         means = (np.mean([getattr(m, key) for m in cases]) for key in _MEAN_KEYS)
-        rows.append(["mean", f"{mean_dice:.6f}", str(len(defined)), *(f"{v:.6f}" for v in means)])
+        rows.append(["mean", f"{dice_mean:.6f}", str(defined), *(f"{v:.6f}" for v in means)])
     write_csv(path, rows)

@@ -545,7 +545,7 @@ def load_model(manifest_path, input_shape=None):
     naming the manifest."""
     manifest_path = Path(manifest_path)
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         blob = (manifest_path.parent / manifest["blob"]).read_bytes()
         if manifest.get("format") != WEIGHTS_FORMAT:
             raise ValueError(f"unsupported weights format {manifest.get('format')!r}")

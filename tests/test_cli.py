@@ -866,7 +866,8 @@ class TestMalformedInputManifests:
         (["train-disc", "--manifest", "{bad}", "--out-model", "{out}"], 2),
         (["fuse", "--manifest", "{bad}", "--out", "{out}"], 2),
         (["train-disc", "--manifest", "{tmp}/none.json", "--out-model", "{out}", "--config", "{bad}"], 3),
-    ], ids=["mip_manifest", "organ_manifest", "config"])
+        (["predict-tracer", "--model", "{bad}", "--pet", "{out}"], 2),
+    ], ids=["mip_manifest", "organ_manifest", "config", "model_manifest"])
     def test_non_utf8_json_exits_naming_the_file(self, tmp_path, capsys, argv, code):
         bad = tmp_path / "latin1.json"
         bad.write_bytes('{"case_id": "café"}'.encode("latin-1"))

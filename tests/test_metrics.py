@@ -11,7 +11,6 @@ from petseg.metrics import (
     RunLabels,
     compute_case_metrics,
     connected_components,
-    dice,
     evaluate_case,
     write_metrics_csv,
 )
@@ -238,42 +237,87 @@ class TestMetricsMemory:
         assert per_voxel <= 5.0, f"{per_voxel:.2f} bytes per voxel"
 
 
+def dice_of(a, b):
+    return compute_case_metrics(mask_of(a), mask_of(b)).dice
+
+
+def count_dice(a, b):
+    """2|A∩B| / (|A|+|B|) counted voxel by voxel."""
+    total = np.count_nonzero(a) + np.count_nonzero(b)
+    return None if total == 0 else 2 * np.count_nonzero(a & b) / total
+
+
 class TestDice:
+    """Dice as compute_case_metrics scores it, from the two masks' runs."""
+
     def test_identical_masks(self, rng):
         m = rng.random((6, 6, 6)) < 0.3
         m[0, 0, 0] = True
-        assert dice(mask_of(m), mask_of(m)) == 1.0
+        assert dice_of(m, m) == 1.0
 
     def test_disjoint(self):
         a = np.zeros((4, 4, 4), dtype=bool)
         b = np.zeros((4, 4, 4), dtype=bool)
         a[0, 0, 0] = True
         b[3, 3, 3] = True
-        assert dice(mask_of(a), mask_of(b)) == 0.0
+        assert dice_of(a, b) == 0.0
 
     def test_two_one_overlap(self):
         a = np.zeros((4, 1, 1), dtype=bool)
         b = np.zeros((4, 1, 1), dtype=bool)
         a[0] = a[1] = True
         b[0] = True
-        assert abs(dice(mask_of(a), mask_of(b)) - 2.0 / 3.0) < 1e-15
+        assert abs(dice_of(a, b) - 2.0 / 3.0) < 1e-15
 
     def test_both_empty_undefined(self):
-        assert dice(mask_of(np.zeros((3, 3, 3))), mask_of(np.zeros((3, 3, 3)))) is None
+        assert dice_of(np.zeros((3, 3, 3)), np.zeros((3, 3, 3))) is None
 
     def test_one_empty_is_zero(self):
         a = np.zeros((3, 3, 3), dtype=bool)
         a[1, 1, 1] = True
-        assert dice(mask_of(a), mask_of(np.zeros((3, 3, 3)))) == 0.0
+        assert dice_of(a, np.zeros((3, 3, 3))) == 0.0
+        assert dice_of(np.zeros((3, 3, 3)), a) == 0.0
 
     def test_symmetry(self, rng):
         a = rng.random((5, 5, 5)) < 0.3
         b = rng.random((5, 5, 5)) < 0.3
-        assert dice(mask_of(a), mask_of(b)) == dice(mask_of(b), mask_of(a))
+        assert dice_of(a, b) == dice_of(b, a)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            dice(mask_of(np.zeros((3, 3, 3))), mask_of(np.zeros((3, 3, 4))))
+            dice_of(np.zeros((3, 3, 3)), np.zeros((3, 3, 4)))
+
+    @pytest.mark.parametrize("shape", [(12, 11, 10), (1, 9, 8), (9, 1, 8), (9, 8, 1), (1, 1, 17), (17, 1, 1)])
+    def test_matches_voxel_count(self, rng, layout, shape):
+        for i in range(30):
+            a = rng.random(shape) < rng.uniform(0.0, 0.6)
+            b = rng.random(shape) < rng.uniform(0.0, 0.6)
+            if i % 3 == 0:  # runs ending at x = nx - 1 beside runs starting at x = 0 in the next row
+                a[-2:] = True
+                b[:2] = True
+            got = dice_of(np.asarray(a, order=layout), np.asarray(b, order=layout))
+            assert got == count_dice(a, b)
+
+    def test_row_and_plane_ends_do_not_overlap(self):
+        a = np.zeros((5, 4, 3), dtype=bool)
+        b = np.zeros((5, 4, 3), dtype=bool)
+        a[2:, 1, 0] = True  # ends at x = nx - 1
+        b[:3, 2, 0] = True  # starts at x = 0 in the next row
+        a[3:, 3, 1] = True  # ends at x = nx - 1 in the last row of a plane
+        b[:2, 0, 2] = True  # starts at x = 0 in the first row of the next plane
+        assert dice_of(a, b) == 0.0
+        b[4, 1, 0] = True  # one shared voxel, the last of its row
+        assert dice_of(a, b) == 2.0 / (a.sum() + b.sum())
+
+    def test_counts_no_voxel_of_the_grid(self, rng, monkeypatch):
+        a = rng.random((16, 15, 14)) < 0.2
+        b = rng.random((16, 15, 14)) < 0.2
+        pred, gt = mask_of(a), mask_of(b)
+
+        def refuse(self):
+            raise AssertionError("a grid voxel count was made")
+        monkeypatch.setattr(BinaryMask, "voxel_count", property(refuse))
+        assert compute_case_metrics(pred, gt).dice == count_dice(a, b)
 
 
 class TestFpvFnv:

@@ -1,3 +1,6 @@
+import json
+import os
+import subprocess
 import sys
 import threading
 
@@ -372,6 +375,20 @@ class TestNetworkAndGradCheck:
 
 
 class TestSerialization:
+    def test_manifest_read_as_utf8_under_an_ascii_locale(self, tmp_path, rng):
+        net = Network(TINY_SPECS, rng, input_shape=TINY_INPUT)
+        path = tmp_path / "model.json"
+        save_model(path, net.parameters(), net.specs, seed=7)
+        # raw UTF-8 text outside the blob name, which an ASCII file system encoding could not open
+        doc = {**json.loads(path.read_text(encoding="utf-8")), "note": "modèle"}
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        code = "import sys; from petseg.nn import load_model; print(ascii(load_model(sys.argv[1])[2]['note']))"
+        ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        out = subprocess.run([sys.executable, "-c", code, str(path)], env={**os.environ, **ascii_locale},
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "'mod\\xe8le'\n"
+
     def test_round_trip(self, tmp_path, rng):
         net = Network(TINY_SPECS, rng, input_shape=TINY_INPUT)
         path = tmp_path / "model.json"
